@@ -33,7 +33,7 @@ from .diff import (
     raw_output,
     squared_error,
 )
-from .errors import ConfigError, CurvkitError, DivergenceError
+from .errors import ConfigError, CurvkitError, DirectionError, DivergenceError
 from .experiment import (
     TrainConfig,
     generate_dataset,
@@ -263,7 +263,7 @@ def _run_checks(net: Network, cfg: dict) -> list[dict]:
             worst_g = max(worst_g, _relative(np.linalg.norm(gv - ref_g), np.linalg.norm(ref_g)))
         if np.isnan(dense_norm):
             worst_h = worst_g = float("nan")
-        add("hvp-vs-dense", worst_h, 1e-4)
+        add("hvp-vs-dense", worst_h, 1e-10)
         add("ggn-vs-dense", worst_g, 1e-10)
 
         # One-step estimator on the one-parameter quadratic: exact at any rate.
@@ -533,7 +533,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, threads: int) -> int:
     n_seeds = cfg["sweep"]["n_seeds"]
     try:
         report = width_sweep(base, widths, n_seeds, cfg["data"]["n_samples"], threads)
-    except DivergenceError as exc:
+    except (DivergenceError, DirectionError) as exc:
         _write_manifest(out_dir, "sweep", cfg, {"aborted": str(exc)}, started)
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
@@ -609,7 +609,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
+    except (DivergenceError, DirectionError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
 

@@ -1,9 +1,12 @@
 """Gradients, curvature products, and dense curvature oracles.
 
-Two routes exist for every second-order quantity: a closed-form route that
-exploits the layered structure (exact, linear-activation networks only for
-the dense output Hessian), and finite-difference routes that know nothing
-about that structure and serve as independent oracles.
+Two routes exist for every second-order quantity: exact routes that exploit
+the layered structure, and finite-difference routes that know nothing about
+that structure and serve only as independent oracles.  Every exact
+Hessian-vector product (hvp, output_hessian_vp, directional_output_curvature)
+is one R-op, valid for identity and relu networks; the dense output Hessian
+and its case-formula product with the gradient are closed forms for linear
+networks only.
 """
 from __future__ import annotations
 
@@ -30,7 +33,6 @@ from .network import (
 # operations have no such cap.
 DENSE_CAP = 20_000
 
-_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 # Second-derivative stencils: rounding error scales like eps/h^2 against
 # truncation h^2, so the balanced step is the quarter root, not the cube
 # root that suits first derivatives.
@@ -368,38 +370,15 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
 
 
 def output_hessian_vp(net: Network, x, direction: np.ndarray) -> np.ndarray:
-    """Exact product of the output Hessian with an arbitrary flat direction.
+    """Exact product of the output Hessian at one input with a flat direction.
 
-    Forward-mode derivative of the output gradient along the direction:
-    propagate activation tangents up, sensitivity tangents down, and combine.
-    Linear networks only (the dense Hessian of the output is defined there).
+    The single-input, raw-output case of the R-op behind hvp, so it holds for
+    relu networks too (Hessian of the smooth piece the input lies in).
     """
-    _require_identity(net, "the exact output Hessian product")
-    _require_scalar_output(net)
-    index = net.param_index
-    d = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if d.shape[0] != index.n_params:
-        raise DimensionError(f"direction length {d.shape[0]} != P = {index.n_params}")
-    dirs = index.unflatten(d)
-    trace = forward(net, x)
-    y = trace.activations
-    depth = net.depth
-
-    y_dot = [np.zeros_like(y[0])]
-    for l in range(1, depth + 1):
-        y_dot.append(net.weights[l - 1].T @ y_dot[l - 1] + dirs[l - 1].T @ y[l - 1])
-
-    a = _output_sensitivities(net)
-    a_dot = [None] * (depth + 1)
-    a_dot[depth] = np.zeros(1)
-    for k in range(depth - 1, 0, -1):
-        a_dot[k] = dirs[k] @ a[k + 1] + net.weights[k] @ a_dot[k + 1]
-
-    blocks = []
-    for l in range(1, depth + 1):
-        block = np.outer(y_dot[l - 1], a[l]) + np.outer(y[l - 1], a_dot[l])
-        blocks.append(block.ravel(order="F"))
-    return np.concatenate(blocks)
+    xb = _as_batch(x)
+    if xb.shape[0] != 1:
+        raise DimensionError("output_hessian_vp takes a single input")
+    return _hessian_vp(net, xb, None, raw_output(), direction)
 
 
 # ---------------------------------------------------------------------------
@@ -495,59 +474,61 @@ def fd_hessian(
     return 0.5 * (hess + hess.T)
 
 
-def _mask_signature(net: Network, inputs: np.ndarray) -> list[np.ndarray] | None:
-    if net.arch.activation != RELU:
-        return None
-    return batch_forward(net, inputs).masks
+# ---------------------------------------------------------------------------
+# Exact Hessian-vector products
+# ---------------------------------------------------------------------------
 
 
-def _same_masks(a, b) -> bool:
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
+def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:
+    """Pearlmutter's R-op: the batch-mean loss Hessian times v, exactly.
 
-
-def _piecewise_safe_step(net: Network, inputs: np.ndarray, w0, unit, h: float) -> float:
-    """Shrink the probe step until no relu unit changes state inside it.
-
-    The Hessian of a relu network is defined piecewise; a unit crossing zero
-    between W - h*u and W + h*u would inject a slope jump amplified by 1/h
-    into any central difference.  Matching active-unit masks at both probe
-    points keeps the stencil inside one smooth piece.
+    With D_l the layer-l block of v, a tangent forward pass carries
+    z'_l = a'_{l-1} W_l + a_{l-1} D_l, and a tangent backward pass carries the
+    loss signals d_l of _weighted_gradient together with their tangents,
+    d'_L = L''(y) y' / N and d'_{l-1} = mask * (d'_l W_l^T + d_l D_l^T).  Layer
+    l's block is a'_{l-1}^T d_l + a_{l-1}^T d'_l.  relu'' = 0 almost
+    everywhere, so the base point's masks carry the whole relu dependence.
     """
-    base = _mask_signature(net, inputs)
-    if base is None:
-        return h
-    for _ in range(4):
-        plus = _mask_signature(net.with_params(w0 + h * unit), inputs)
-        minus = _mask_signature(net.with_params(w0 - h * unit), inputs)
-        if _same_masks(base, plus) and _same_masks(base, minus):
-            return h
-        h /= 8.0
-    return h
-
-
-def hvp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product via central differences of the loss gradient.
-
-    Two gradient evaluations at W +- h * v_hat with h = sqrt(eps) * (1 +
-    ||W||), rescaled by ||v||.  Zero direction maps to the zero vector.  For
-    relu networks the step shrinks as needed so both probe points share the
-    active-unit pattern of the base point.
-    """
+    _require_scalar_output(net)
     index = net.param_index
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != index.n_params:
         raise DimensionError(f"direction length {v.shape[0]} != P = {index.n_params}")
-    v_norm = float(np.linalg.norm(v))
-    if v_norm == 0.0:
-        return np.zeros_like(v)
-    w0 = net.param_vector()
-    h = _SQRT_EPS * (1.0 + float(np.linalg.norm(w0)))
-    unit = v / v_norm
-    xb = _as_batch(inputs)
-    h = _piecewise_safe_step(net, xb, w0, unit, h)
-    g_plus = loss_gradient(net.with_params(w0 + h * unit), xb, targets, loss)
-    g_minus = loss_gradient(net.with_params(w0 - h * unit), xb, targets, loss)
-    return (g_plus - g_minus) * (v_norm / (2.0 * h))
+    dirs = index.unflatten(v)
+    weights, depth = net.weights, net.depth
+    trace = batch_forward(net, x)
+    acts, masks = trace.activations, trace.masks
+
+    act_dots = [None]  # the input does not move with the weights
+    z_dot = acts[0] @ dirs[0]
+    for k in range(1, depth):
+        act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
+        z_dot = act_dots[k] @ weights[k] + acts[k] @ dirs[k]
+
+    n = x.shape[0]
+    y = trace.outputs
+    delta = (loss.d1(y, t) / n)[:, None]
+    delta_dot = loss.d2(y, t)[:, None] * z_dot / n
+    blocks = [None] * depth
+    for k in range(depth - 1, 0, -1):
+        blocks[k] = (delta_dot.T @ acts[k] + delta.T @ act_dots[k]).reshape(-1)
+        delta, delta_dot = delta @ weights[k].T, delta_dot @ weights[k].T + delta @ dirs[k].T
+        if masks is not None:
+            delta, delta_dot = delta * masks[k - 1], delta_dot * masks[k - 1]
+    blocks[0] = (delta_dot.T @ acts[0]).reshape(-1)
+    return np.concatenate(blocks)
+
+
+def hvp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> np.ndarray:
+    """Exact product of the batch-mean loss Hessian with a flat direction.
+
+    One forward pass plus a tangent forward and a tangent backward pass
+    (Pearlmutter's R-op), for identity and relu networks alike; for relu it is
+    the Hessian of the smooth piece the batch lies in.  A zero direction maps
+    to the zero vector.
+    """
+    x = _as_batch(inputs)
+    return _hessian_vp(net, x, _as_targets(targets, x.shape[0]), loss, v)
 
 
 def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> np.ndarray:
@@ -576,23 +557,19 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
 
 
 def directional_output_curvature(net: Network, x, direction: np.ndarray) -> float:
-    """Second derivative of the scalar output along a unit direction.
+    """Second derivative of the scalar output along a direction, normalized.
 
-    Three-point stencil in parameter space; equals the quadratic form of the
-    output Hessian along the normalized direction.  Works for either
-    activation (for relu it probes the local smooth piece).
+    The quadratic form u . H_out u of the output Hessian at the single input
+    x, with u = direction / ||direction||, from the exact product
+    output_hessian_vp.  Works for either activation (for relu, the Hessian of
+    the local smooth piece).
     """
-    index = net.param_index
+    n_params = net.arch.n_params
     d = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if d.shape[0] != index.n_params:
-        raise DimensionError(f"direction length {d.shape[0]} != P = {index.n_params}")
+    if d.shape[0] != n_params:
+        raise DimensionError(f"direction length {d.shape[0]} != P = {n_params}")
     d_norm = float(np.linalg.norm(d))
     if d_norm == 0.0:
         raise DirectionError("direction has zero norm")
     unit = d / d_norm
-    w0 = net.param_vector()
-    h = _QUART_EPS * (1.0 + float(np.linalg.norm(w0)))
-    xb = _as_batch(x)
-    h = _piecewise_safe_step(net, xb, w0, unit, h)
-    f = lambda w: float(batch_forward(net.with_params(w), xb).outputs[0])
-    return (f(w0 + h * unit) - 2.0 * f(w0) + f(w0 - h * unit)) / h**2
+    return float(unit @ output_hessian_vp(net, x, unit))

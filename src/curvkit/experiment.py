@@ -25,7 +25,7 @@ from .diff import (
     loss_and_gradient,
     squared_error,
 )
-from .errors import DimensionError, DivergenceError
+from .errors import DimensionError, DirectionError, DivergenceError
 from .network import RELU, Architecture, Network, init_network
 from .parallel import map_trial_ranges
 from .rng import GAUSSIAN, RngStream
@@ -381,13 +381,21 @@ def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, start,
                            rectifier_gain=cfg.effective_init_gain)
         if cfg.epochs > 0:
             log = sgd_train(net, dataset, cfg)
-            first = log.probed()[0]
+            probed = log.probed()
+            if not probed:
+                raise DirectionError(
+                    f"width {width}, seed {seed_index}: every probed step had a zero gradient"
+                )
+            first = probed[0]
             cells.append(
                 SweepCell(width, seed_index, abs(first.functional_proj), first.hessian_proj,
                           log.final_loss, log.positivity_fraction())
             )
         else:
-            rec = initial_probe(net, dataset, cfg)
+            try:
+                rec = initial_probe(net, dataset, cfg)
+            except DirectionError as exc:
+                raise DirectionError(f"width {width}, seed {seed_index}: {exc}") from exc
             full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
             cells.append(
                 SweepCell(width, seed_index, abs(rec.functional_proj), rec.hessian_proj,

@@ -287,7 +287,41 @@ class TestSweep:
         assert len(rows) == 6
 
 
+DEAD_RELU_SWEEP = """
+[arch]
+widths = 1 1 1
+activation = relu
+
+[init]
+seed = 3
+
+[train]
+epochs = {epochs}
+batch_size = 1
+
+[data]
+n_samples = 1
+
+[sweep]
+widths = 1
+n_seeds = 1
+"""
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_dead_relu_sweep_cell_is_exit_3(self, tmp_path, epochs):
+        # Seed 3 draws a 1-1-1 relu net whose hidden unit is dead on the only
+        # sample, so every gradient is zero and no curvature can be probed.
+        cfg = write_config(tmp_path / "c.ini", DEAD_RELU_SWEEP.format(epochs=epochs))
+        out = tmp_path / "out"
+        result = run_cli("sweep", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "zero gradient" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "zero gradient" in json.loads((out / "manifest.json").read_text())["aborted"]
+
+
     def test_malformed_config_is_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[nope]\nkey = 1\n")
         result = run_cli("check", "--config", cfg, cwd=tmp_path)

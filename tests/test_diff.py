@@ -216,7 +216,31 @@ class TestOutputHessianGradProduct:
             output_hessian_grad_product(net, [1.0, 0.0, 0.0])
 
 
+def relu_net_off_kinks(widths, seed, x):
+    """A relu net whose hidden pre-activations at x all keep |z| > 1e-3, so
+    the finite-difference oracle's stencil stays on one smooth piece."""
+    net = random_net(widths, seed, "relu")
+    act = np.asarray(x, dtype=np.float64)
+    for w in net.weights[:-1]:
+        z = act @ w
+        assert np.min(np.abs(z)) > 1e-3
+        act = np.maximum(z, 0.0)
+    return net
+
+
 class TestOutputHessianVp:
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_relu_matches_fd_oracle(self, seed):
+        gen = RngStream(seed, 1).generator()
+        x = gen.standard_normal(4)
+        net = relu_net_off_kinks((4, 5, 6, 3, 1), seed, x)
+        dense = fd_hessian(net, x, 0.0, raw_output())
+        for _ in range(5):
+            v = gen.standard_normal(net.param_index.n_params)
+            ref = dense @ v
+            got = output_hessian_vp(net, x, v)
+            assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
     def test_matches_dense_route(self):
         net = random_net((4, 5, 6, 3, 1), 46)
         gen = RngStream(47, 0).generator()
@@ -273,7 +297,7 @@ class TestHvp:
     def test_hand_example(self):
         net = chain([1.0, 1.0])
         out = hvp(net, [[1.0]], [0.0], squared_error(), np.array([1.0, 0.0]))
-        assert np.allclose(out, [2.0, 4.0], atol=1e-5)
+        assert np.allclose(out, [2.0, 4.0], atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     def test_matches_fd_hessian(self, activation):
@@ -288,6 +312,19 @@ class TestHvp:
             ref = dense @ v
             assert np.linalg.norm(got - ref) <= 1e-4 * np.linalg.norm(ref)
 
+    def test_symmetric_on_relu_nets(self):
+        for seed in (80, 81, 82):
+            net = random_net((4, 6, 5, 1), seed, "relu")
+            gen = RngStream(seed, 1).generator()
+            xs = gen.standard_normal((7, 4))
+            ts = gen.integers(0, 2, 7) * 2.0 - 1.0
+            for _ in range(5):
+                u = gen.standard_normal(net.param_index.n_params)
+                v = gen.standard_normal(net.param_index.n_params)
+                uhv = u @ hvp(net, xs, ts, squared_error(), v)
+                vhu = v @ hvp(net, xs, ts, squared_error(), u)
+                assert abs(uhv - vhu) <= 1e-12 * max(abs(uhv), abs(vhu))
+
     def test_linearity(self):
         net = random_net((3, 3, 1), 58)
         gen = RngStream(59, 0).generator()
@@ -298,7 +335,7 @@ class TestHvp:
         rhs = 2.0 * hvp(net, xs, 1.0, squared_error(), u) - 3.0 * hvp(
             net, xs, 1.0, squared_error(), v
         )
-        assert np.linalg.norm(lhs - rhs) <= 1e-4 * max(np.linalg.norm(rhs), 1e-300)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1e-300)
 
 
 class TestGgnVp:
@@ -335,12 +372,12 @@ class TestGgnVp:
 class TestDirectionalCurvature:
     def test_two_layer_chain(self):
         value = directional_output_curvature(chain([1.0, 1.0]), [1.0], np.array([1.0, 1.0]))
-        assert value == pytest.approx(1.0, abs=1e-6)
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_single_layer_zero(self):
         net = random_net((4, 1), 65)
         value = directional_output_curvature(net, np.ones(4) / 2.0, np.ones(4))
-        assert abs(value) <= 1e-7
+        assert abs(value) <= 1e-12
 
     def test_matches_dense_quadratic_form(self):
         net = random_net((3, 4, 2, 1), 66)
@@ -351,7 +388,20 @@ class TestDirectionalCurvature:
             d = gen.standard_normal(net.param_index.n_params)
             unit = d / np.linalg.norm(d)
             assert directional_output_curvature(net, x, d) == pytest.approx(
-                float(unit @ dense @ unit), abs=1e-5
+                float(unit @ dense @ unit), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("seed", [73, 74, 75])
+    def test_relu_matches_fd_oracle(self, seed):
+        gen = RngStream(seed, 1).generator()
+        x = gen.standard_normal(3)
+        net = relu_net_off_kinks((3, 4, 5, 1), seed, x)
+        dense = fd_hessian(net, x, 0.0, raw_output())
+        for _ in range(5):
+            d = gen.standard_normal(net.param_index.n_params)
+            unit = d / np.linalg.norm(d)
+            assert directional_output_curvature(net, x, d) == pytest.approx(
+                float(unit @ dense @ unit), rel=1e-6
             )
 
     def test_zero_direction_rejected(self):
