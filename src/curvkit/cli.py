@@ -52,18 +52,21 @@ from .network import (
 )
 from .rng import AUX_STREAM, DISTRIBUTION_KINDS, RngStream
 from .tables import write_csv
-from .theory import (
+# quadform_samples is unused here; bench/spans.py wraps it under this name.
+from .theory import (  # noqa: F401
     CurvatureBoundParams,
+    GradNormResult,
     McConfig,
+    PositivityResult,
     backfit_variance_constant,
     mc_bilinear_products,
     mc_cross_sample_stats,
-    mc_curvature_positivity,
     mc_grad_norm_stats,
     mc_quadform_stats,
     positive_curvature_bound,
     predicted_variance_scale,
     quadform_samples,
+    thm2_samples,
 )
 
 MANIFEST_SCHEMA = "curvkit.manifest.v1"
@@ -328,6 +331,10 @@ def _mc_config(cfg: dict) -> McConfig:
     )
 
 
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
 def _require_constant_shape(widths: tuple[int, ...]) -> None:
     if len(set(widths[:-1])) != 1:
         raise ConfigError("this subcommand expects constant-shape widths (all equal except the output)")
@@ -339,7 +346,6 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
     tcfg = cfg["theory"]
     sigmas = tcfg["stderr_sigmas"]
     passed = True
-    extra: dict = {}
 
     if sub == "thm1":
         summary = mc_quadform_stats(mc, threads)
@@ -357,7 +363,9 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
                 summary.variance / predicted if predicted > 0 else float("nan"), passed,
             ]],
         )
-        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {'PASS' if passed else 'FAIL'}")
+        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {_verdict(passed)}")
+        extra = {"mean": summary.mean, "stderr": summary.stderr,
+                 "abs_mean_over_stderr": ratio, "verdict": _verdict(passed)}
 
     elif sub == "norm":
         _require_constant_shape(mc.widths)
@@ -374,15 +382,21 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             ]],
         )
         _write_deviation(out_dir / "delta_table.csv", result.deviation)
-        print(f"mean={result.summary.mean:.4f} limit={result.limit:.4f} -> {'PASS' if passed else 'FAIL'}")
+        print(f"mean={result.summary.mean:.4f} limit={result.limit:.4f} -> {_verdict(passed)}")
+        extra = {"limit": result.limit, "mean": result.summary.mean, "rel_error": rel,
+                 "verdict": _verdict(passed)}
 
     elif sub == "thm2":
         _require_constant_shape(mc.widths)
         multipliers = (1.0,) * len(mc.widths)
         eps = tcfg["epsilon"]
-        norm_result = mc_grad_norm_stats(mc, multipliers, n_workers=threads)
-        qf = quadform_samples(mc, threads)
-        gamma_fit = backfit_variance_constant(float(np.var(qf, ddof=1)), multipliers, mc.widths[0])
+        # One draw per trial feeds the norm, quadform and positivity columns;
+        # the three ensembles always shared the seed, hence the networks.
+        samples = thm2_samples(mc, tcfg["target_magnitude"], threads)
+        norm_result = GradNormResult.from_samples(samples.grad_norm_sq, multipliers)
+        gamma_fit = backfit_variance_constant(
+            float(np.var(samples.quadform, ddof=1)), multipliers, mc.widths[0]
+        )
         params = CurvatureBoundParams(
             epsilon=eps,
             loss_curvature_min=tcfg["alpha"],
@@ -394,7 +408,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             deviation=norm_result.deviation,
         )
         bound = positive_curvature_bound(params)
-        pos = mc_curvature_positivity(mc, eps, tcfg["target_magnitude"], threads)
+        pos = PositivityResult.from_samples(samples.positivity, eps)
         if bound > 0:
             margin = 1.645 * np.sqrt(bound * (1.0 - bound) / mc.n_trials) if bound < 1 else 0.0
             passed = pos.probability >= bound - margin
@@ -411,7 +425,9 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             ]],
         )
         _write_deviation(out_dir / "delta_table.csv", norm_result.deviation)
-        print(f"bound={bound:.4f} empirical={pos.probability:.4f} -> {'PASS' if passed else 'FAIL'}")
+        print(f"bound={bound:.4f} empirical={pos.probability:.4f} -> {_verdict(passed)}")
+        extra = {"bound": bound, "empirical": pos.probability, "gamma_backfit": gamma_fit,
+                 "verdict": _verdict(passed)}
 
     elif sub == "identities":
         n_in, n_out = mc.widths[0], mc.widths[1]
@@ -430,6 +446,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
              for r in report.rows],
         )
         print("identities report written (informational, no pass/fail)")
+        extra = {"n_rows": len(report.rows)}
 
     elif sub == "cross":
         summary = mc_cross_sample_stats(mc, threads)
@@ -445,7 +462,9 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             [[" ".join(map(str, mc.widths)), summary.n_trials, summary.mean, summary.stderr,
               ratio, second_moment, predicted, passed]],
         )
-        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {'PASS' if passed else 'FAIL'}")
+        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {_verdict(passed)}")
+        extra = {"mean": summary.mean, "stderr": summary.stderr,
+                 "abs_mean_over_stderr": ratio, "verdict": _verdict(passed)}
 
     else:
         raise ConfigError(f"unknown theory subcommand {sub!r}")
@@ -519,6 +538,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
             "final_loss": log.final_loss,
             "positivity_fraction": log.positivity_fraction(),
             "n_steps": len(log.records),
+            "wall_time_s": log.wall_time_s,
         },
         started,
     )

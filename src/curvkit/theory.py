@@ -15,24 +15,31 @@ The quantities checked are:
 
 Every trial derives its randomness from (master_seed, trial_index), so
 results are independent of scheduling and worker count.
+
+The four curvature ensembles (gradient norm, quadratic form, positivity,
+cross-sample) share one trial-batched engine: each trial's network is drawn
+once, the weights of a block of trials are stacked, and one batched forward,
+backward and second-order Taylor pass along the gradient yields every
+per-trial column.  The public samplers select columns of that table, and
+thm2_samples returns the norm, quadform and positivity columns of one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .diff import (
-    output_gradient,
-    output_hessian_grad_product,
-    output_hessian_vp,
-    squared_error,
-)
+from .diff import squared_error
 from .errors import DimensionError, DirectionError
-from .network import IDENTITY, Architecture, forward, init_network
+from .network import IDENTITY, Architecture, init_network
 from .parallel import map_trial_ranges
 from .rng import AUX_STREAM, GAUSSIAN, InitDistribution, RngStream
+
+# Unused here, but bench/spans.py wraps these names in this module.
+from .diff import output_gradient, output_hessian_grad_product, output_hessian_vp  # noqa: F401
+from .network import forward  # noqa: F401
 
 INPUT_FIXED = "fixed"
 INPUT_FRESH = "fresh"
@@ -93,19 +100,109 @@ def _unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _probe_input(cfg: McConfig) -> np.ndarray | None:
-    """Shared unit-norm input for fixed-input ensembles (aux stream)."""
+def _fixed_inputs(cfg: McConfig, count: int) -> tuple[np.ndarray, ...] | None:
+    """Shared unit-norm inputs of fixed-input ensembles (aux stream), or None."""
     if cfg.input_mode != INPUT_FIXED:
         return None
     gen = RngStream(cfg.master_seed, AUX_STREAM).generator()
-    return _unit_vector(gen, cfg.widths[0])
+    return tuple(_unit_vector(gen, cfg.widths[0]) for _ in range(count))
 
 
-def _trial_net_and_input(cfg: McConfig, fixed_input, trial: int):
-    gen = RngStream(cfg.master_seed, trial).generator()
-    net = init_network(cfg.architecture, cfg.distribution, gen)
-    x = fixed_input if fixed_input is not None else _unit_vector(gen, cfg.widths[0])
-    return net, x, gen
+# ---------------------------------------------------------------------------
+# Trial-batched engine behind every curvature ensemble
+# ---------------------------------------------------------------------------
+
+# Columns of the per-trial table built by _mc_chunk.
+OUTPUT, GRAD_NORM_SQ, QUADFORM, TARGET_SIGN = range(4)
+
+# Bytes of stacked weights per block of trials: keeps peak memory flat in the
+# trial count while amortizing per-call overhead over several trials.
+_BLOCK_BYTES = 1 << 20
+
+
+def _trials_per_block(arch: Architecture) -> int:
+    return max(1, _BLOCK_BYTES // (8 * arch.n_params))
+
+
+def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-trial dot products of (T, 1, n) row stacks, shaped (T, 1, 1)."""
+    return np.sum(p * q, axis=-1, keepdims=True)
+
+
+def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
+    """Output, ||g||^2 and g^T H g for a block of T identity networks.
+
+    ws holds layer k's weights as a (T, n_{k-1}, n_k) stack; u and v are
+    (T, 1, n_0) input stacks.  g is the output gradient at u, and the output
+    and H (the output Hessian) are taken at x = v, or at u when v is None.
+
+    The output sensitivities a_k = W_{k+1} a_{k+1} (a_L = 1) do not depend on
+    the input, so g's layer-k block is the rank-one y^u_{k-1} (x) a_k and
+    ||g||^2 = sum_k ||y^u_{k-1}||^2 ||a_k||^2.  Univariate Taylor propagation
+    along that direction carries the first two derivatives of every layer:
+    y'_k = y'_{k-1} W_k + (y_{k-1} . y^u_{k-1}) a_k and
+    y''_k = y''_{k-1} W_k + 2 (y'_{k-1} . y^u_{k-1}) a_k, so g^T H g = y''_L.
+    """
+    depth = len(ws)
+    a = [None] * (depth + 1)
+    a[depth] = np.ones((u.shape[0], 1, 1))
+    for k in range(depth - 1, 0, -1):
+        a[k] = a[k + 1] @ ws[k].transpose(0, 2, 1)
+    yu = u
+    y = u if v is None else v
+    d1 = d2 = np.zeros_like(y)
+    g_sq = 0.0
+    for k, w in enumerate(ws, start=1):
+        g_sq = g_sq + _dot(yu, yu) * _dot(a[k], a[k])
+        d1, d2 = d1 @ w + _dot(y, yu) * a[k], d2 @ w + 2.0 * _dot(d1, yu) * a[k]
+        y = y @ w
+        yu = y if v is None else yu @ w
+    return y[:, 0, 0], g_sq[:, 0, 0], d2[:, 0, 0]
+
+
+def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.ndarray:
+    """Per-trial table (OUTPUT, GRAD_NORM_SQ, QUADFORM, TARGET_SIGN columns)
+    for trials [start, stop), drawing each trial's network once.
+
+    Trial i draws from RngStream(master_seed, i), in this order: the network,
+    the input u in fresh mode, then the ensemble's tail -- the second input v
+    for the cross ensemble, the +-1 target sign otherwise (cross rows carry
+    sign 0).  fixed holds the shared fixed-mode inputs (u, or u and v) and
+    is None in fresh mode.  Rows depend only on their own trial, so the
+    table does not depend on how [0, n) is split into ranges or blocks.
+    """
+    arch = cfg.architecture
+    n0 = arch.widths[0]
+    block = max(1, min(_trials_per_block(arch), stop - start))
+    ws = [np.empty((block, m, n)) for m, n in zip(arch.widths[:-1], arch.widths[1:])]
+    inputs = [np.empty((block, 1, n0)) for _ in range(2 if cross else 1)]
+    if fixed is not None:
+        for buf, vec in zip(inputs, fixed):
+            buf[:] = vec
+    signs = np.zeros(block)
+    out = np.empty((stop - start, 4))
+    for b0 in range(start, stop, block):
+        t = min(block, stop - b0)
+        for j in range(t):
+            gen = RngStream(cfg.master_seed, b0 + j).generator()
+            net = init_network(arch, cfg.distribution, gen)
+            for stack, w in zip(ws, net.weights):
+                stack[j] = w
+            if fixed is None:
+                for buf in inputs:
+                    buf[j, 0] = _unit_vector(gen, n0)
+            if not cross:
+                signs[j] = float(gen.integers(0, 2)) * 2.0 - 1.0
+        rows = out[b0 - start : b0 - start + t]
+        cols = _taylor_columns([w[:t] for w in ws], *(buf[:t] for buf in inputs))
+        rows[:, OUTPUT], rows[:, GRAD_NORM_SQ], rows[:, QUADFORM] = cols
+        rows[:, TARGET_SIGN] = signs[:t]
+    return out
+
+
+def _mc_table(cfg: McConfig, n_workers: int, cross: bool = False) -> np.ndarray:
+    fn = partial(_mc_chunk, cfg, _fixed_inputs(cfg, 2 if cross else 1), cross)
+    return map_trial_ranges(fn, cfg.n_trials, n_workers)
 
 
 def predicted_variance_scale(widths) -> float:
@@ -126,19 +223,10 @@ def predicted_variance_scale(widths) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quadform_chunk(cfg: McConfig, fixed_input, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        net, x, _ = _trial_net_and_input(cfg, fixed_input, i)
-        g = output_gradient(net, x)
-        out[i - start] = float(g @ output_hessian_grad_product(net, x))
-    return out
-
-
 def quadform_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
-    """Per-trial values of g^T (output Hessian) g at random init."""
-    fn = partial(_quadform_chunk, cfg, _probe_input(cfg))
-    return map_trial_ranges(fn, cfg.n_trials, n_workers)
+    """Per-trial values of g^T (output Hessian) g at random init: the
+    QUADFORM column of the trial-batched engine."""
+    return _mc_table(cfg, n_workers)[:, QUADFORM].copy()
 
 
 def mc_quadform_stats(cfg: McConfig, n_workers: int = 1) -> McSummary:
@@ -185,19 +273,20 @@ class GradNormResult:
     deviation: DeviationTable
     limit: float
 
-
-def _grad_norm_chunk(cfg: McConfig, fixed_input, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        net, x, _ = _trial_net_and_input(cfg, fixed_input, i)
-        g = output_gradient(net, x)
-        out[i - start] = float(g @ g)
-    return out
+    @classmethod
+    def from_samples(cls, samples, multipliers, eps_grid=DEFAULT_EPS_GRID) -> "GradNormResult":
+        limit = grad_norm_limit(multipliers, 1.0)
+        return cls(
+            McSummary.from_samples(samples),
+            DeviationTable.from_samples(samples, limit, eps_grid),
+            limit,
+        )
 
 
 def grad_norm_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
-    fn = partial(_grad_norm_chunk, cfg, _probe_input(cfg))
-    return map_trial_ranges(fn, cfg.n_trials, n_workers)
+    """Per-trial squared output-gradient norms at random init: the
+    GRAD_NORM_SQ column of the trial-batched engine."""
+    return _mc_table(cfg, n_workers)[:, GRAD_NORM_SQ].copy()
 
 
 def grad_norm_limit(multipliers, input_norm_sq: float = 1.0) -> float:
@@ -221,13 +310,7 @@ def mc_grad_norm_stats(
     """
     if multipliers is None:
         multipliers = cfg.architecture.width_multipliers or (1.0,) * len(cfg.widths)
-    limit = grad_norm_limit(multipliers, 1.0)
-    samples = grad_norm_samples(cfg, n_workers)
-    return GradNormResult(
-        McSummary.from_samples(samples),
-        DeviationTable.from_samples(samples, limit, eps_grid),
-        limit,
-    )
+    return GradNormResult.from_samples(grad_norm_samples(cfg, n_workers), multipliers, eps_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -306,25 +389,21 @@ def backfit_variance_constant(measured_variance: float, multipliers, base_width:
     return measured_variance * base_width * m[0] ** 3 / sum_mm
 
 
-def _positivity_chunk(
-    cfg: McConfig, fixed_input, target_magnitude: float, start: int, stop: int
-) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        net, x, gen = _trial_net_and_input(cfg, fixed_input, i)
-        target = target_magnitude * (float(gen.integers(0, 2)) * 2.0 - 1.0)
-        loss = squared_error(target)
-        g_w = output_gradient(net, x)
-        g_sq = float(g_w @ g_w)
-        if g_sq == 0.0:
-            raise DirectionError("zero output gradient in positivity trial")
-        y = forward(net, x).output
-        # Single sample: the Hessian is curvature * g g^T plus slope times the
-        # output Hessian, and the loss gradient is parallel to g, so the
-        # gradient-aligned quadratic form reduces to two exact terms.
-        quad = float(g_w @ output_hessian_vp(net, x, g_w))
-        out[i - start] = loss.d2(y) * g_sq + loss.d1(y) * quad / g_sq
-    return out
+def _positivity(table: np.ndarray, target_magnitude: float) -> np.ndarray:
+    """Per-row exact gradient-aligned curvature of (y - target)^2, with
+    target = target_magnitude * the row's drawn sign.
+
+    Single sample: the Hessian is curvature * g g^T plus slope times the
+    output Hessian, and the loss gradient is parallel to g, so the quadratic
+    form along g / ||g|| reduces to two exact terms.
+    """
+    g_sq = table[:, GRAD_NORM_SQ]
+    if np.any(g_sq == 0.0):
+        raise DirectionError("zero output gradient in positivity trial")
+    y = table[:, OUTPUT]
+    loss = squared_error()
+    target = target_magnitude * table[:, TARGET_SIGN]
+    return loss.d2(y) * g_sq + loss.d1(y, target) * table[:, QUADFORM] / g_sq
 
 
 @dataclass(frozen=True)
@@ -333,20 +412,46 @@ class PositivityResult:
     probability: float
     summary: McSummary
 
+    @classmethod
+    def from_samples(cls, samples, epsilon: float) -> "PositivityResult":
+        prob = float(np.mean(samples > epsilon))
+        return cls(float(epsilon), prob, McSummary.from_samples(samples))
+
 
 def positivity_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 1) -> np.ndarray:
     """Per-trial exact gradient-aligned curvature of a squared-error loss
-    with a random sign-flipped target (so the loss slope is nonzero a.s.)."""
-    fn = partial(_positivity_chunk, cfg, _probe_input(cfg), target_magnitude)
-    return map_trial_ranges(fn, cfg.n_trials, n_workers)
+    with a random sign-flipped target (so the loss slope is nonzero a.s.),
+    computed from the engine's OUTPUT, GRAD_NORM_SQ, QUADFORM and
+    TARGET_SIGN columns."""
+    return _positivity(_mc_table(cfg, n_workers), target_magnitude)
 
 
 def mc_curvature_positivity(
     cfg: McConfig, epsilon: float, target_magnitude: float = 1.0, n_workers: int = 1
 ) -> PositivityResult:
-    samples = positivity_samples(cfg, target_magnitude, n_workers)
-    prob = float(np.mean(samples > epsilon))
-    return PositivityResult(float(epsilon), prob, McSummary.from_samples(samples))
+    return PositivityResult.from_samples(positivity_samples(cfg, target_magnitude, n_workers), epsilon)
+
+
+class Thm2Samples(NamedTuple):
+    grad_norm_sq: np.ndarray
+    quadform: np.ndarray
+    positivity: np.ndarray
+
+
+def thm2_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 1) -> Thm2Samples:
+    """The gradient-norm, quadform and positivity ensembles of one McConfig
+    from a single pass that draws each trial's network once.
+
+    The three ensembles share the seed, so each column is bitwise equal to
+    what grad_norm_samples, quadform_samples and positivity_samples return
+    for the same cfg.
+    """
+    table = _mc_table(cfg, n_workers)
+    return Thm2Samples(
+        table[:, GRAD_NORM_SQ].copy(),
+        table[:, QUADFORM].copy(),
+        _positivity(table, target_magnitude),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,30 +459,10 @@ def mc_curvature_positivity(
 # ---------------------------------------------------------------------------
 
 
-def _cross_chunk(cfg: McConfig, fixed_pair, start: int, stop: int) -> np.ndarray:
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        gen = RngStream(cfg.master_seed, i).generator()
-        net = init_network(cfg.architecture, cfg.distribution, gen)
-        if fixed_pair is None:
-            u = _unit_vector(gen, cfg.widths[0])
-            v = _unit_vector(gen, cfg.widths[0])
-        else:
-            u, v = fixed_pair
-        g_u = output_gradient(net, u)
-        out[i - start] = float(g_u @ output_hessian_vp(net, v, g_u))
-    return out
-
-
 def cross_sample_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
-    """Gradient of one input against the output Hessian evaluated at another."""
-    if cfg.input_mode == INPUT_FIXED:
-        gen = RngStream(cfg.master_seed, AUX_STREAM).generator()
-        pair = (_unit_vector(gen, cfg.widths[0]), _unit_vector(gen, cfg.widths[0]))
-    else:
-        pair = None
-    fn = partial(_cross_chunk, cfg, pair)
-    return map_trial_ranges(fn, cfg.n_trials, n_workers)
+    """Gradient of one input u against the output Hessian evaluated at
+    another input v: the QUADFORM column of the engine's cross pass."""
+    return _mc_table(cfg, n_workers, cross=True)[:, QUADFORM].copy()
 
 
 def mc_cross_sample_stats(cfg: McConfig, n_workers: int = 1) -> McSummary:

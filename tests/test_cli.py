@@ -155,6 +155,10 @@ class TestTheory:
         row = rows[0]
         assert row[header.index("passed")] == "true"
         assert float(row[header.index("gamma_backfit")]) > 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verdict"] == "PASS"
+        for key in ("bound", "empirical", "gamma_backfit"):
+            assert manifest[key] == float(row[header.index(key)])
 
     def test_identities_report(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[arch]\nwidths = 4 4 1\n\n[mc]\ntrials = 500\n")
@@ -230,6 +234,7 @@ class TestTrain:
         assert manifest["schema_version"] == "curvkit.manifest.v1"
         assert manifest["config"]["train"]["lr"] == 0.05
         assert "timing_s" in manifest
+        assert 0.0 < manifest["wall_time_s"] <= manifest["timing_s"] + 1e-3
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", TRAIN.format(lr="1e6"))

@@ -10,6 +10,7 @@ from curvkit import (
     RngStream,
     backfit_variance_constant,
     grad_norm_limit,
+    init_network,
     mc_bilinear_products,
     mc_cross_sample_stats,
     mc_curvature_positivity,
@@ -19,13 +20,90 @@ from curvkit import (
     predicted_variance_scale,
     quadform_samples,
 )
+from curvkit.diff import (
+    output_gradient,
+    output_hessian_grad_product,
+    output_hessian_vp,
+    squared_error,
+)
+from curvkit.network import forward
+from curvkit.rng import AUX_STREAM
 from curvkit.theory import (
-    _cross_chunk,
-    _quadform_chunk,
+    QUADFORM,
+    _fixed_inputs,
+    _mc_chunk,
+    _trials_per_block,
+    _unit_vector,
     cross_sample_samples,
     grad_norm_samples,
     positivity_samples,
+    thm2_samples,
 )
+
+
+def _normwise(values, reference) -> float:
+    return float(np.max(np.abs(values - reference)) / np.max(np.abs(reference)))
+
+
+def _per_trial_routes(cfg, target_magnitude):
+    """Each trial redrawn and evaluated by the per-trial single-input routes:
+    (g.g, case formula, R-op quadform, positivity, R-op cross value)."""
+    pair = None
+    if cfg.input_mode == "fixed":
+        aux = RngStream(cfg.master_seed, AUX_STREAM).generator()
+        pair = (_unit_vector(aux, cfg.widths[0]), _unit_vector(aux, cfg.widths[0]))
+    rows = []
+    for i in range(cfg.n_trials):
+        gen = RngStream(cfg.master_seed, i).generator()
+        net = init_network(cfg.architecture, cfg.distribution, gen)
+        x = pair[0] if pair is not None else _unit_vector(gen, cfg.widths[0])
+        sign = float(gen.integers(0, 2)) * 2.0 - 1.0
+        g = output_gradient(net, x)
+        g_sq = float(g @ g)
+        quad = float(g @ output_hessian_vp(net, x, g))
+        y = forward(net, x).output
+        loss = squared_error(target_magnitude * sign)
+        positivity = loss.d2(y) * g_sq + loss.d1(y) * quad / g_sq
+
+        gen = RngStream(cfg.master_seed, i).generator()
+        net = init_network(cfg.architecture, cfg.distribution, gen)
+        if pair is None:
+            u, v = _unit_vector(gen, cfg.widths[0]), _unit_vector(gen, cfg.widths[0])
+        else:
+            u, v = pair
+        g_u = output_gradient(net, u)
+        cross = float(g_u @ output_hessian_vp(net, v, g_u))
+        rows.append((g_sq, float(g @ output_hessian_grad_product(net, x)), quad, positivity, cross))
+    return np.array(rows)
+
+
+class TestBatchedColumnsOracle:
+    """The trial-batched Taylor columns against the per-trial routes they replace."""
+
+    @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
+    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
+    @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
+    def test_columns_match_per_trial_routes(self, widths, input_mode, distribution):
+        cfg = McConfig(widths=widths, distribution=distribution, input_mode=input_mode,
+                       n_trials=12, master_seed=20)
+        ref = _per_trial_routes(cfg, 0.7)
+        fused = thm2_samples(cfg, 0.7)
+        cross = cross_sample_samples(cfg)
+        if len(widths) == 2:
+            # No functional part: both quadratic forms vanish exactly.
+            assert not np.any(fused.quadform) and not np.any(cross)
+            assert not np.any(ref[:, 1]) and not np.any(ref[:, 4])
+            checks = [(fused.grad_norm_sq, ref[:, 0]), (fused.positivity, ref[:, 3])]
+        else:
+            checks = [
+                (fused.grad_norm_sq, ref[:, 0]),
+                (fused.quadform, ref[:, 1]),  # case formula
+                (fused.quadform, ref[:, 2]),  # R-op
+                (fused.positivity, ref[:, 3]),
+                (cross, ref[:, 4]),
+            ]
+        for values, reference in checks:
+            assert _normwise(values, reference) <= 1e-12
 
 
 class TestPredictedScale:
@@ -80,6 +158,30 @@ class TestQuadform:
     def test_parallel_matches_serial(self):
         cfg = McConfig(widths=(6, 6, 1), n_trials=150, master_seed=4)
         assert np.array_equal(quadform_samples(cfg, n_workers=1), quadform_samples(cfg, n_workers=2))
+
+    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_chunk_independent_of_ranges_and_blocks(self, input_mode, cross):
+        cfg = McConfig(widths=(64, 64, 64, 64, 1), input_mode=input_mode, n_trials=25, master_seed=21)
+        split = 13
+        assert _trials_per_block(cfg.architecture) < split  # both ranges span several blocks
+        fixed = _fixed_inputs(cfg, 2 if cross else 1)
+        whole = _mc_chunk(cfg, fixed, cross, 0, cfg.n_trials)
+        singles = np.concatenate([_mc_chunk(cfg, fixed, cross, i, i + 1) for i in range(cfg.n_trials)])
+        halves = np.concatenate(
+            [_mc_chunk(cfg, fixed, cross, 0, split), _mc_chunk(cfg, fixed, cross, split, cfg.n_trials)]
+        )
+        assert np.array_equal(whole, singles)
+        assert np.array_equal(whole, halves)
+
+    def test_thm2_columns_equal_separate_samplers(self):
+        # The norm, quadform and positivity ensembles share one seed, so one
+        # draw per trial serves all three bit for bit.
+        cfg = McConfig(widths=(8, 8, 8, 1), n_trials=40, master_seed=22)
+        fused = thm2_samples(cfg, 0.5)
+        assert np.array_equal(fused.grad_norm_sq, grad_norm_samples(cfg))
+        assert np.array_equal(fused.quadform, quadform_samples(cfg))
+        assert np.array_equal(fused.positivity, positivity_samples(cfg, 0.5))
 
     def test_fresh_inputs_change_samples(self):
         fixed = McConfig(widths=(6, 6, 1), n_trials=32, master_seed=5, input_mode="fixed")
@@ -187,9 +289,12 @@ class TestCrossSample:
         gen = RngStream(99, 0).generator()
         u = gen.standard_normal(5)
         u /= np.linalg.norm(u)
-        same = _cross_chunk(cfg, (u, u), 0, 16)
-        quad = _quadform_chunk(cfg, u, 0, 16)
-        assert np.allclose(same, quad, rtol=1e-12, atol=1e-14)
+        same = _mc_chunk(cfg, (u, u), True, 0, 16)[:, QUADFORM]
+        case = []
+        for i in range(16):
+            net = init_network(cfg.architecture, cfg.distribution, RngStream(cfg.master_seed, i).generator())
+            case.append(float(output_gradient(net, u) @ output_hessian_grad_product(net, u)))
+        assert np.allclose(same, case, rtol=1e-12, atol=1e-14)
 
     def test_zero_mean(self):
         cfg = McConfig(widths=(8, 8, 8, 1), input_mode="fresh", n_trials=2000, master_seed=12)
