@@ -52,21 +52,18 @@ from .network import (
 )
 from .rng import AUX_STREAM, DISTRIBUTION_KINDS, RngStream
 from .tables import write_csv
-# quadform_samples is unused here; bench/spans.py wraps it under this name.
-from .theory import (  # noqa: F401
+from .theory import (
     CurvatureBoundParams,
-    GradNormResult,
     McConfig,
-    PositivityResult,
     backfit_variance_constant,
     mc_bilinear_products,
     mc_cross_sample_stats,
+    mc_curvature_positivity,
     mc_grad_norm_stats,
     mc_quadform_stats,
     positive_curvature_bound,
     predicted_variance_scale,
     quadform_samples,
-    thm2_samples,
 )
 
 MANIFEST_SCHEMA = "curvkit.manifest.v1"
@@ -390,13 +387,11 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
         _require_constant_shape(mc.widths)
         multipliers = (1.0,) * len(mc.widths)
         eps = tcfg["epsilon"]
-        # One draw per trial feeds the norm, quadform and positivity columns;
-        # the three ensembles always shared the seed, hence the networks.
-        samples = thm2_samples(mc, tcfg["target_magnitude"], threads)
-        norm_result = GradNormResult.from_samples(samples.grad_norm_sq, multipliers)
-        gamma_fit = backfit_variance_constant(
-            float(np.var(samples.quadform, ddof=1)), multipliers, mc.widths[0]
-        )
+        # The three ensembles share their seed, so the samplers share one
+        # table: each trial's network is drawn once for all three.
+        norm_result = mc_grad_norm_stats(mc, multipliers, n_workers=threads)
+        qf = quadform_samples(mc, threads)
+        gamma_fit = backfit_variance_constant(float(np.var(qf, ddof=1)), multipliers, mc.widths[0])
         params = CurvatureBoundParams(
             epsilon=eps,
             loss_curvature_min=tcfg["alpha"],
@@ -408,7 +403,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             deviation=norm_result.deviation,
         )
         bound = positive_curvature_bound(params)
-        pos = PositivityResult.from_samples(samples.positivity, eps)
+        pos = mc_curvature_positivity(mc, eps, tcfg["target_magnitude"], threads)
         if bound > 0:
             margin = 1.645 * np.sqrt(bound * (1.0 - bound) / mc.n_trials) if bound < 1 else 0.0
             passed = pos.probability >= bound - margin

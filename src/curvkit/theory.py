@@ -20,14 +20,16 @@ The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
 once, the weights of a block of trials are stacked, and one batched forward,
 backward and second-order Taylor pass along the gradient yields every
-per-trial column.  The public samplers select columns of that table, and
-thm2_samples returns the norm, quadform and positivity columns of one pass.
+per-trial column.  The public samplers select columns of that table.  The
+gradient-norm, quadform and positivity ensembles share their seed, hence
+their networks, so they read one table, kept for the most recent McConfig:
+calling the three samplers in turn (as ``theory thm2`` does) draws each
+network once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -113,7 +115,7 @@ def _fixed_inputs(cfg: McConfig, count: int) -> tuple[np.ndarray, ...] | None:
 # ---------------------------------------------------------------------------
 
 # Columns of the per-trial table built by _mc_chunk.
-OUTPUT, GRAD_NORM_SQ, QUADFORM, TARGET_SIGN = range(4)
+_OUTPUT, _GRAD_NORM_SQ, _QUADFORM, _TARGET_SIGN = range(4)
 
 # Bytes of stacked weights per block of trials: keeps peak memory flat in the
 # trial count while amortizing per-call overhead over several trials.
@@ -161,7 +163,7 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
 
 
 def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.ndarray:
-    """Per-trial table (OUTPUT, GRAD_NORM_SQ, QUADFORM, TARGET_SIGN columns)
+    """Per-trial table (_OUTPUT, _GRAD_NORM_SQ, _QUADFORM, _TARGET_SIGN columns)
     for trials [start, stop), drawing each trial's network once.
 
     Trial i draws from RngStream(master_seed, i), in this order: the network,
@@ -195,14 +197,24 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
                 signs[j] = float(gen.integers(0, 2)) * 2.0 - 1.0
         rows = out[b0 - start : b0 - start + t]
         cols = _taylor_columns([w[:t] for w in ws], *(buf[:t] for buf in inputs))
-        rows[:, OUTPUT], rows[:, GRAD_NORM_SQ], rows[:, QUADFORM] = cols
-        rows[:, TARGET_SIGN] = signs[:t]
+        rows[:, _OUTPUT], rows[:, _GRAD_NORM_SQ], rows[:, _QUADFORM] = cols
+        rows[:, _TARGET_SIGN] = signs[:t]
     return out
 
 
 def _mc_table(cfg: McConfig, n_workers: int, cross: bool = False) -> np.ndarray:
     fn = partial(_mc_chunk, cfg, _fixed_inputs(cfg, 2 if cross else 1), cross)
     return map_trial_ranges(fn, cfg.n_trials, n_workers)
+
+
+@lru_cache(maxsize=1)
+def _shared_table(cfg: McConfig, n_workers: int) -> np.ndarray:
+    """The read-only table behind the gradient-norm, quadform and positivity
+    samplers, kept for the last (cfg, n_workers) so that the three draw each
+    network once between them."""
+    table = _mc_table(cfg, n_workers)
+    table.flags.writeable = False
+    return table
 
 
 def predicted_variance_scale(widths) -> float:
@@ -225,8 +237,8 @@ def predicted_variance_scale(widths) -> float:
 
 def quadform_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
     """Per-trial values of g^T (output Hessian) g at random init: the
-    QUADFORM column of the trial-batched engine."""
-    return _mc_table(cfg, n_workers)[:, QUADFORM].copy()
+    _QUADFORM column of the shared table."""
+    return _shared_table(cfg, n_workers)[:, _QUADFORM].copy()
 
 
 def mc_quadform_stats(cfg: McConfig, n_workers: int = 1) -> McSummary:
@@ -273,20 +285,11 @@ class GradNormResult:
     deviation: DeviationTable
     limit: float
 
-    @classmethod
-    def from_samples(cls, samples, multipliers, eps_grid=DEFAULT_EPS_GRID) -> "GradNormResult":
-        limit = grad_norm_limit(multipliers, 1.0)
-        return cls(
-            McSummary.from_samples(samples),
-            DeviationTable.from_samples(samples, limit, eps_grid),
-            limit,
-        )
-
 
 def grad_norm_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
     """Per-trial squared output-gradient norms at random init: the
-    GRAD_NORM_SQ column of the trial-batched engine."""
-    return _mc_table(cfg, n_workers)[:, GRAD_NORM_SQ].copy()
+    _GRAD_NORM_SQ column of the shared table."""
+    return _shared_table(cfg, n_workers)[:, _GRAD_NORM_SQ].copy()
 
 
 def grad_norm_limit(multipliers, input_norm_sq: float = 1.0) -> float:
@@ -310,7 +313,13 @@ def mc_grad_norm_stats(
     """
     if multipliers is None:
         multipliers = cfg.architecture.width_multipliers or (1.0,) * len(cfg.widths)
-    return GradNormResult.from_samples(grad_norm_samples(cfg, n_workers), multipliers, eps_grid)
+    limit = grad_norm_limit(multipliers, 1.0)
+    samples = grad_norm_samples(cfg, n_workers)
+    return GradNormResult(
+        McSummary.from_samples(samples),
+        DeviationTable.from_samples(samples, limit, eps_grid),
+        limit,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +406,13 @@ def _positivity(table: np.ndarray, target_magnitude: float) -> np.ndarray:
     output Hessian, and the loss gradient is parallel to g, so the quadratic
     form along g / ||g|| reduces to two exact terms.
     """
-    g_sq = table[:, GRAD_NORM_SQ]
+    g_sq = table[:, _GRAD_NORM_SQ]
     if np.any(g_sq == 0.0):
         raise DirectionError("zero output gradient in positivity trial")
-    y = table[:, OUTPUT]
+    y = table[:, _OUTPUT]
     loss = squared_error()
-    target = target_magnitude * table[:, TARGET_SIGN]
-    return loss.d2(y) * g_sq + loss.d1(y, target) * table[:, QUADFORM] / g_sq
+    target = target_magnitude * table[:, _TARGET_SIGN]
+    return loss.d2(y) * g_sq + loss.d1(y, target) * table[:, _QUADFORM] / g_sq
 
 
 @dataclass(frozen=True)
@@ -412,46 +421,21 @@ class PositivityResult:
     probability: float
     summary: McSummary
 
-    @classmethod
-    def from_samples(cls, samples, epsilon: float) -> "PositivityResult":
-        prob = float(np.mean(samples > epsilon))
-        return cls(float(epsilon), prob, McSummary.from_samples(samples))
-
 
 def positivity_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 1) -> np.ndarray:
     """Per-trial exact gradient-aligned curvature of a squared-error loss
     with a random sign-flipped target (so the loss slope is nonzero a.s.),
-    computed from the engine's OUTPUT, GRAD_NORM_SQ, QUADFORM and
-    TARGET_SIGN columns."""
-    return _positivity(_mc_table(cfg, n_workers), target_magnitude)
+    computed from the _OUTPUT, _GRAD_NORM_SQ, _QUADFORM and _TARGET_SIGN
+    columns of the shared table."""
+    return _positivity(_shared_table(cfg, n_workers), target_magnitude)
 
 
 def mc_curvature_positivity(
     cfg: McConfig, epsilon: float, target_magnitude: float = 1.0, n_workers: int = 1
 ) -> PositivityResult:
-    return PositivityResult.from_samples(positivity_samples(cfg, target_magnitude, n_workers), epsilon)
-
-
-class Thm2Samples(NamedTuple):
-    grad_norm_sq: np.ndarray
-    quadform: np.ndarray
-    positivity: np.ndarray
-
-
-def thm2_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 1) -> Thm2Samples:
-    """The gradient-norm, quadform and positivity ensembles of one McConfig
-    from a single pass that draws each trial's network once.
-
-    The three ensembles share the seed, so each column is bitwise equal to
-    what grad_norm_samples, quadform_samples and positivity_samples return
-    for the same cfg.
-    """
-    table = _mc_table(cfg, n_workers)
-    return Thm2Samples(
-        table[:, GRAD_NORM_SQ].copy(),
-        table[:, QUADFORM].copy(),
-        _positivity(table, target_magnitude),
-    )
+    samples = positivity_samples(cfg, target_magnitude, n_workers)
+    prob = float(np.mean(samples > epsilon))
+    return PositivityResult(float(epsilon), prob, McSummary.from_samples(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +445,8 @@ def thm2_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 
 
 def cross_sample_samples(cfg: McConfig, n_workers: int = 1) -> np.ndarray:
     """Gradient of one input u against the output Hessian evaluated at
-    another input v: the QUADFORM column of the engine's cross pass."""
-    return _mc_table(cfg, n_workers, cross=True)[:, QUADFORM].copy()
+    another input v: the _QUADFORM column of the engine's cross pass."""
+    return _mc_table(cfg, n_workers, cross=True)[:, _QUADFORM].copy()
 
 
 def mc_cross_sample_stats(cfg: McConfig, n_workers: int = 1) -> McSummary:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -28,16 +30,17 @@ from curvkit.diff import (
 )
 from curvkit.network import forward
 from curvkit.rng import AUX_STREAM
+import curvkit.theory
 from curvkit.theory import (
-    QUADFORM,
+    _QUADFORM,
     _fixed_inputs,
     _mc_chunk,
+    _shared_table,
     _trials_per_block,
     _unit_vector,
     cross_sample_samples,
     grad_norm_samples,
     positivity_samples,
-    thm2_samples,
 )
 
 
@@ -87,19 +90,19 @@ class TestBatchedColumnsOracle:
         cfg = McConfig(widths=widths, distribution=distribution, input_mode=input_mode,
                        n_trials=12, master_seed=20)
         ref = _per_trial_routes(cfg, 0.7)
-        fused = thm2_samples(cfg, 0.7)
-        cross = cross_sample_samples(cfg)
+        g_sq, quad = grad_norm_samples(cfg), quadform_samples(cfg)
+        positivity, cross = positivity_samples(cfg, 0.7), cross_sample_samples(cfg)
         if len(widths) == 2:
             # No functional part: both quadratic forms vanish exactly.
-            assert not np.any(fused.quadform) and not np.any(cross)
+            assert not np.any(quad) and not np.any(cross)
             assert not np.any(ref[:, 1]) and not np.any(ref[:, 4])
-            checks = [(fused.grad_norm_sq, ref[:, 0]), (fused.positivity, ref[:, 3])]
+            checks = [(g_sq, ref[:, 0]), (positivity, ref[:, 3])]
         else:
             checks = [
-                (fused.grad_norm_sq, ref[:, 0]),
-                (fused.quadform, ref[:, 1]),  # case formula
-                (fused.quadform, ref[:, 2]),  # R-op
-                (fused.positivity, ref[:, 3]),
+                (g_sq, ref[:, 0]),
+                (quad, ref[:, 1]),  # case formula
+                (quad, ref[:, 2]),  # R-op
+                (positivity, ref[:, 3]),
                 (cross, ref[:, 4]),
             ]
         for values, reference in checks:
@@ -153,7 +156,9 @@ class TestQuadform:
 
     def test_deterministic(self):
         cfg = McConfig(widths=(6, 6, 1), n_trials=64, master_seed=3)
-        assert np.array_equal(quadform_samples(cfg), quadform_samples(cfg))
+        first = quadform_samples(cfg)
+        _shared_table.cache_clear()
+        assert np.array_equal(first, quadform_samples(cfg))
 
     def test_parallel_matches_serial(self):
         cfg = McConfig(widths=(6, 6, 1), n_trials=150, master_seed=4)
@@ -174,14 +179,29 @@ class TestQuadform:
         assert np.array_equal(whole, singles)
         assert np.array_equal(whole, halves)
 
-    def test_thm2_columns_equal_separate_samplers(self):
+    def test_thm2_samplers_share_one_draw(self, monkeypatch):
         # The norm, quadform and positivity ensembles share one seed, so one
         # draw per trial serves all three bit for bit.
         cfg = McConfig(widths=(8, 8, 8, 1), n_trials=40, master_seed=22)
-        fused = thm2_samples(cfg, 0.5)
-        assert np.array_equal(fused.grad_norm_sq, grad_norm_samples(cfg))
-        assert np.array_equal(fused.quadform, quadform_samples(cfg))
-        assert np.array_equal(fused.positivity, positivity_samples(cfg, 0.5))
+        alone = []
+        for sampler in (grad_norm_samples, quadform_samples, partial(positivity_samples, target_magnitude=0.5)):
+            _shared_table.cache_clear()
+            alone.append(sampler(cfg))
+        _shared_table.cache_clear()
+        draws = []
+
+        def counting_init(*args):
+            draws.append(args)
+            return init_network(*args)
+
+        monkeypatch.setattr(curvkit.theory, "init_network", counting_init)
+        together = [grad_norm_samples(cfg), quadform_samples(cfg), positivity_samples(cfg, 0.5)]
+        assert len(draws) == cfg.n_trials
+        for a, b in zip(alone, together):
+            assert np.array_equal(a, b)
+        together[1][:] = 0.0  # callers get copies, not the shared table
+        assert np.array_equal(quadform_samples(cfg), alone[1])
+        assert len(draws) == cfg.n_trials
 
     def test_fresh_inputs_change_samples(self):
         fixed = McConfig(widths=(6, 6, 1), n_trials=32, master_seed=5, input_mode="fixed")
@@ -289,7 +309,7 @@ class TestCrossSample:
         gen = RngStream(99, 0).generator()
         u = gen.standard_normal(5)
         u /= np.linalg.norm(u)
-        same = _mc_chunk(cfg, (u, u), True, 0, 16)[:, QUADFORM]
+        same = _mc_chunk(cfg, (u, u), True, 0, 16)[:, _QUADFORM]
         case = []
         for i in range(16):
             net = init_network(cfg.architecture, cfg.distribution, RngStream(cfg.master_seed, i).generator())
