@@ -63,7 +63,6 @@ from .experiment import (
 )
 from .network import (
     Architecture,
-    ActivationTrace,
     Network,
     ParamIndex,
     WeightCoord,

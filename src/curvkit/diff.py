@@ -4,9 +4,11 @@ Two routes exist for every second-order quantity: exact routes that exploit
 the layered structure, and finite-difference routes that know nothing about
 that structure and serve only as independent oracles.  Every exact
 Hessian-vector product (hvp, output_hessian_vp, directional_output_curvature)
-is one R-op, valid for identity and relu networks; the dense output Hessian
-and its case-formula product with the gradient are closed forms for linear
-networks only.
+is one R-op, valid for identity and relu networks.  The R-op and the
+Gauss-Newton product ggn_vp share one tangent forward pass, which gives the
+Jacobian-vector product of every layer along a weight direction.  The dense
+output Hessian and its case-formula product with the gradient are closed
+forms for linear networks only.
 """
 from __future__ import annotations
 
@@ -199,12 +201,7 @@ def output_gradient(net: Network, x) -> np.ndarray:
 
 def loss_gradient(net: Network, inputs, targets, loss: LossFunction) -> np.ndarray:
     """Batch-mean gradient of the loss w.r.t. the flat parameter vector."""
-    x = _as_batch(inputs)
-    t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
-    trace = batch_forward(net, x)
-    slopes = loss.d1(trace.outputs, t) / x.shape[0]
-    return _weighted_gradient(net, trace, slopes)
+    return loss_and_gradient(net, inputs, targets, loss)[1]
 
 
 def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction) -> tuple[float, np.ndarray]:
@@ -479,31 +476,49 @@ def fd_hessian(
 # ---------------------------------------------------------------------------
 
 
-def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:
-    """Pearlmutter's R-op: the batch-mean loss Hessian times v, exactly.
-
-    With D_l the layer-l block of v, a tangent forward pass carries
-    z'_l = a'_{l-1} W_l + a_{l-1} D_l, and a tangent backward pass carries the
-    loss signals d_l of _weighted_gradient together with their tangents,
-    d'_L = L''(y) y' / N and d'_{l-1} = mask * (d'_l W_l^T + d_l D_l^T).  Layer
-    l's block is a'_{l-1}^T d_l + a_{l-1}^T d'_l.  relu'' = 0 almost
-    everywhere, so the base point's masks carry the whole relu dependence.
-    """
-    _require_scalar_output(net)
+def _direction_layers(net: Network, v) -> list[np.ndarray]:
+    """Per-layer blocks D_l of a flat direction, after checking its length."""
     index = net.param_index
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.shape[0] != index.n_params:
         raise DimensionError(f"direction length {v.shape[0]} != P = {index.n_params}")
-    dirs = index.unflatten(v)
+    return index.unflatten(v)
+
+
+def _tangent_forward(
+    net: Network, trace: BatchTrace, dirs: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Jacobian-vector product of every layer along the weight direction dirs.
+
+    Carries z'_l = a'_{l-1} W_l + a_{l-1} D_l with the base point's relu masks
+    applied to a'.  Returns the hidden tangents a'_k (list index k, with None
+    for the input, which does not move with the weights) and the output
+    tangent z'_L of shape (n_samples, 1).
+    """
+    acts, masks = trace.activations, trace.masks
+    act_dots = [None]
+    z_dot = acts[0] @ dirs[0]
+    for k in range(1, net.depth):
+        act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
+        z_dot = act_dots[k] @ net.weights[k] + acts[k] @ dirs[k]
+    return act_dots, z_dot
+
+
+def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:
+    """Pearlmutter's R-op: the batch-mean loss Hessian times v, exactly.
+
+    After _tangent_forward, a tangent backward pass carries the loss signals
+    d_l of _weighted_gradient together with their tangents, d'_L = L''(y) y' / N
+    and d'_{l-1} = mask * (d'_l W_l^T + d_l D_l^T).  Layer l's block is
+    a'_{l-1}^T d_l + a_{l-1}^T d'_l.  relu'' = 0 almost everywhere, so the base
+    point's masks carry the whole relu dependence.
+    """
+    _require_scalar_output(net)
+    dirs = _direction_layers(net, v)
     weights, depth = net.weights, net.depth
     trace = batch_forward(net, x)
     acts, masks = trace.activations, trace.masks
-
-    act_dots = [None]  # the input does not move with the weights
-    z_dot = acts[0] @ dirs[0]
-    for k in range(1, depth):
-        act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
-        z_dot = act_dots[k] @ weights[k] + acts[k] @ dirs[k]
+    act_dots, z_dot = _tangent_forward(net, trace, dirs)
 
     n = x.shape[0]
     y = trace.outputs
@@ -536,23 +551,16 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
 
     For a scalar output the curvature part is a mean of rank-one terms, so
     the product is (1/N) sum_s L''(y_s) (g_s . v) g_s with per-sample output
-    gradients g_s; no finite differences involved.
+    gradients g_s.  The tangent forward pass gives every g_s . v at once as
+    the output tangent; no finite differences involved.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     _require_scalar_output(net)
-    index = net.param_index
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.shape[0] != index.n_params:
-        raise DimensionError(f"direction length {v.shape[0]} != P = {index.n_params}")
+    dirs = _direction_layers(net, v)
     trace = batch_forward(net, x)
-    b = _backward_signals(net, trace)
-    v_layers = index.unflatten(v)
-    n = x.shape[0]
-    dots = np.zeros(n)
-    for k in range(net.depth):
-        dots += np.sum((trace.activations[k] @ v_layers[k]) * b[k], axis=1)
-    coeff = loss.d2(trace.outputs, t) * dots / n
+    _, z_dot = _tangent_forward(net, trace, dirs)
+    coeff = loss.d2(trace.outputs, t) * z_dot[:, 0] / x.shape[0]
     return _weighted_gradient(net, trace, coeff)
 
 

@@ -11,7 +11,7 @@ exact Gauss-Newton product, and the remainder by difference.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -352,22 +352,8 @@ class SweepReport:
 
 
 def _sweep_config(base: TrainConfig, width: int, seed_index: int) -> TrainConfig:
-    depth = base.architecture.depth
-    arch = Architecture((width,) * depth + (1,), base.architecture.activation)
-    return TrainConfig(
-        architecture=arch,
-        loss=base.loss,
-        learning_rate=base.learning_rate,
-        halve_at=base.halve_at,
-        batch_size=base.batch_size,
-        epochs=base.epochs,
-        probe_every=base.probe_every,
-        data_seed=base.data_seed,
-        init_seed=base.init_seed + seed_index,
-        distribution=base.distribution,
-        init_gain=base.init_gain,
-        divergence_ratio=base.divergence_ratio,
-    )
+    arch = Architecture((width,) * base.architecture.depth + (1,), base.architecture.activation)
+    return replace(base, architecture=arch, init_seed=base.init_seed + seed_index)
 
 
 def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, start, stop):

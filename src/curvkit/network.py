@@ -32,16 +32,11 @@ ACTIVATIONS = (IDENTITY, RELU)
 class Architecture:
     """Layer widths plus activation choice.
 
-    widths lists n_0 .. n_L (input width first, output width last).  For the
-    constant-shape families used by the statistical checks, optional
-    width_multipliers (m_0 .. m_L) record the shape n_l = base * m_l; the
-    scalar output layer is exempt from that consistency check because its
-    width is pinned to 1.
+    widths lists n_0 .. n_L (input width first, output width last).
     """
 
     widths: tuple[int, ...]
     activation: str = IDENTITY
-    width_multipliers: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
@@ -51,21 +46,6 @@ class Architecture:
             raise DimensionError(f"widths must be positive, got {self.widths}")
         if self.activation not in ACTIVATIONS:
             raise ActivationError(f"unknown activation: {self.activation!r}")
-        if self.width_multipliers is not None:
-            mult = tuple(float(m) for m in self.width_multipliers)
-            object.__setattr__(self, "width_multipliers", mult)
-            if len(mult) != len(self.widths):
-                raise DimensionError("need one width multiplier per layer width")
-            if any(m <= 0 for m in mult):
-                raise DimensionError("width multipliers must be positive")
-            base = self.widths[0] / mult[0]
-            for l, (w, m) in enumerate(zip(self.widths, mult)):
-                if l == self.depth and w == 1:
-                    continue
-                if round(base * m) != w:
-                    raise DimensionError(
-                        f"width {w} at layer {l} inconsistent with multiplier {m}"
-                    )
 
     @property
     def depth(self) -> int:
@@ -75,20 +55,6 @@ class Architecture:
     @property
     def n_params(self) -> int:
         return sum(a * b for a, b in zip(self.widths[:-1], self.widths[1:]))
-
-    @classmethod
-    def constant_shape(
-        cls,
-        base_width: int,
-        multipliers: tuple[float, ...],
-        activation: str = IDENTITY,
-    ) -> "Architecture":
-        """Build the n_l = base_width * m_l family with a scalar output."""
-        if base_width < 1:
-            raise DimensionError("base_width must be >= 1")
-        widths = [round(base_width * m) for m in multipliers[:-1]]
-        widths.append(1)
-        return cls(tuple(widths), activation, tuple(multipliers))
 
 
 class WeightCoord(NamedTuple):
@@ -206,56 +172,37 @@ def init_network(
 
 
 @dataclass
-class ActivationTrace:
-    """Per-layer activations of a single forward pass (input included)."""
+class BatchTrace:
+    """Activations of one forward pass, input included.
+
+    For a batch the arrays are (n_samples, width); for a single input they
+    are (width,).
+    """
 
     activations: list[np.ndarray]
     masks: list[np.ndarray] | None = None  # active-unit masks, hidden layers only
 
     @property
-    def output(self) -> float:
-        return float(self.activations[-1][0])
-
-
-@dataclass
-class BatchTrace:
-    """Stacked activations for a batch; arrays are (n_samples, width)."""
-
-    activations: list[np.ndarray]
-    masks: list[np.ndarray] | None = None
+    def outputs(self) -> np.ndarray:
+        return self.activations[-1][..., 0]
 
     @property
-    def outputs(self) -> np.ndarray:
-        return self.activations[-1][:, 0]
+    def output(self) -> float:
+        """The scalar output of a single-input trace."""
+        return float(self.outputs)
 
 
-def forward(net: Network, x: np.ndarray) -> ActivationTrace:
+def forward(net: Network, x: np.ndarray) -> BatchTrace:
     """Run a single input through the network, caching every layer output."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != net.arch.widths[0]:
-        raise DimensionError(
-            f"input length {x.shape[0]} does not match input width {net.arch.widths[0]}"
-        )
-    relu = net.arch.activation == RELU
-    depth = net.depth
-    acts = [x]
-    masks: list[np.ndarray] | None = [] if relu else None
-    for l, w in enumerate(net.weights, start=1):
-        z = w.T @ acts[-1]
-        if relu and l < depth:
-            mask = z > 0.0
-            z = np.where(mask, z, 0.0)
-            masks.append(mask.astype(np.float64))
-        acts.append(z)
-    return ActivationTrace(acts, masks)
+    return batch_forward(net, np.asarray(x, dtype=np.float64).reshape(-1))
 
 
 def batch_forward(net: Network, inputs: np.ndarray) -> BatchTrace:
-    """Forward a (n_samples, n_0) batch; rows are samples."""
+    """Forward one input (n_0,) or a batch (n_samples, n_0); rows are samples."""
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.arch.widths[0]:
+    if x.ndim not in (1, 2) or x.shape[-1] != net.arch.widths[0]:
         raise DimensionError(
-            f"batch shape {x.shape} does not match input width {net.arch.widths[0]}"
+            f"input shape {x.shape} does not match input width {net.arch.widths[0]}"
         )
     relu = net.arch.activation == RELU
     acts = [x]
@@ -272,15 +219,17 @@ def batch_forward(net: Network, inputs: np.ndarray) -> BatchTrace:
 
 
 def interlayer_jacobian(
-    net: Network, trace: ActivationTrace, from_layer: int, to_layer: int
+    net: Network, trace: BatchTrace, from_layer: int, to_layer: int
 ) -> np.ndarray:
     """Matrix of partial derivatives of layer to_layer w.r.t. layer from_layer.
 
     Entry [u, j] is d(activation j of to_layer) / d(activation u of
-    from_layer) at the traced point.  For identity activation this is the
-    plain product of the intervening weight matrices; for relu each hidden
-    factor is masked by the trace's active units.
+    from_layer) at the point of a single-input trace.  For identity
+    activation this is the plain product of the intervening weight matrices;
+    for relu each hidden factor is masked by the trace's active units.
     """
+    if trace.activations[0].ndim != 1:
+        raise DimensionError("interlayer_jacobian takes a single-input trace")
     depth = net.depth
     if not 0 <= from_layer < to_layer <= depth:
         raise IndexError(f"need 0 <= from_layer < to_layer <= {depth}, got ({from_layer}, {to_layer})")

@@ -312,7 +312,7 @@ def mc_grad_norm_stats(
     the empirical concentration function around it.
     """
     if multipliers is None:
-        multipliers = cfg.architecture.width_multipliers or (1.0,) * len(cfg.widths)
+        multipliers = (1.0,) * len(cfg.widths)
     limit = grad_norm_limit(multipliers, 1.0)
     samples = grad_norm_samples(cfg, n_workers)
     return GradNormResult(

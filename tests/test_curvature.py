@@ -21,6 +21,7 @@ from curvkit import (
     psd_check,
     squared_error,
 )
+from test_diff import relu_net_off_kinks
 
 
 def chain(weights, activation="identity"):
@@ -63,14 +64,18 @@ class TestDecompose:
         ref = fd_hessian(net, xs, ts, squared_error())
         assert np.linalg.norm(dec.hessian - ref) <= 1e-4 * np.linalg.norm(ref)
 
-    def test_relu_route_via_fd(self):
-        net = random_net((3, 4, 3, 1), 74, "relu")
+    def test_relu_route_matches_fd_oracle(self):
         gen = RngStream(75, 0).generator()
         xs = gen.standard_normal((4, 3))
         ts = gen.integers(0, 2, 4) * 2.0 - 1.0
+        net = relu_net_off_kinks((3, 4, 3, 1), 74, xs)
         dec = decompose(net, xs, ts, squared_error())
         assert np.array_equal(dec.gauss_newton + dec.functional, dec.hessian)
         assert dec.meta["activation"] == "relu"
+        ref = fd_hessian(net, xs, ts, squared_error())
+        assert np.linalg.norm(dec.hessian - ref) <= 1e-6 * np.linalg.norm(ref)
+        asym = np.linalg.norm(dec.hessian - dec.hessian.T)
+        assert asym <= 1e-12 * np.linalg.norm(dec.hessian)
         report = psd_check(dec.gauss_newton)
         assert report.passed
 

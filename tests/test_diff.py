@@ -355,8 +355,9 @@ class TestGgnVp:
         out = ggn_vp(net, xs, 1.0, squared_error(), v)
         assert np.linalg.norm(out) <= 1e-12
 
-    def test_matches_dense_gauss_newton(self):
-        net = random_net((4, 3, 1), 63)
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_matches_dense_gauss_newton(self, activation):
+        net = random_net((4, 3, 1), 63, activation)
         gen = RngStream(64, 0).generator()
         xs = gen.standard_normal((5, 4))
         ts = gen.integers(0, 2, 5) * 2.0 - 1.0

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from curvkit import (
     sgd_train,
     width_sweep,
 )
-from curvkit.experiment import RUNLOG_COLUMNS
+from curvkit.experiment import RUNLOG_COLUMNS, _sweep_config
 from curvkit.tables import read_csv
 
 
@@ -212,6 +214,16 @@ class TestWidthSweep:
         for cell in report.cells:
             assert np.isfinite(cell.final_loss)
             assert 0.0 <= cell.positivity_fraction <= 1.0
+
+    def test_cell_config_keeps_base_fields(self):
+        base = small_config(epochs=2, probe_every=3, distribution="uniform", init_gain=1.5,
+                            divergence_ratio=1e4, loss=half_squared_error())
+        cfg = _sweep_config(base, 9, 2)
+        assert cfg.architecture == Architecture((9, 9, 9, 1), "relu")
+        assert cfg.init_seed == base.init_seed + 2
+        for f in fields(TrainConfig):
+            if f.name not in ("architecture", "init_seed"):
+                assert getattr(cfg, f.name) == getattr(base, f.name), f.name
 
     def test_parallel_matches_serial(self):
         base = small_config(epochs=0)

@@ -73,6 +73,30 @@ class TestForward:
             for l in range(net.depth + 1):
                 assert np.allclose(batch.activations[l][s], single.activations[l], atol=0)
 
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_one_input_equals_one_row_batch(self, activation):
+        net = random_net((5, 4, 3, 1), 4, activation)
+        x = RngStream(5, 0).generator().standard_normal(5)
+        single = batch_forward(net, x)
+        row = batch_forward(net, x[None, :])
+        for l in range(net.depth + 1):
+            assert np.array_equal(single.activations[l], row.activations[l][0])
+        if activation == "relu":
+            for l in range(net.depth - 1):
+                assert np.array_equal(single.masks[l], row.masks[l][0])
+        assert single.output == row.outputs[0]
+
+    def test_batch_forward_rejects_other_shapes(self):
+        net = random_net((3, 2, 1), 6)
+        with pytest.raises(DimensionError):
+            batch_forward(net, np.ones((2, 2, 3)))
+        with pytest.raises(DimensionError):
+            batch_forward(net, np.ones(4))
+        with pytest.raises(DimensionError):
+            batch_forward(net, np.ones((2, 4)))
+        with pytest.raises(DimensionError):
+            batch_forward(net, np.float64(1.0))
+
 
 class TestInit:
     def test_deterministic(self):
@@ -152,6 +176,13 @@ class TestJacobian:
         with pytest.raises(IndexError):
             interlayer_jacobian(net, trace, 1, 1)
 
+    def test_rejects_batch_trace(self):
+        # Batch masks would broadcast against the weights instead of masking them.
+        net = random_net((3, 3, 2, 1), 17, "relu")
+        xs = RngStream(18, 0).generator().standard_normal((3, 3))
+        with pytest.raises(DimensionError):
+            interlayer_jacobian(net, batch_forward(net, xs), 0, 2)
+
 
 class TestParamIndex:
     @given(
@@ -193,16 +224,6 @@ class TestArchitecture:
             Architecture((4, 0, 1))
         with pytest.raises(Exception):
             Architecture((4, 1), activation="tanh")
-
-    def test_multiplier_consistency(self):
-        arch = Architecture((64, 32, 1), width_multipliers=(1.0, 0.5, 1.0))
-        assert arch.width_multipliers == (1.0, 0.5, 1.0)
-        with pytest.raises(DimensionError):
-            Architecture((64, 32, 1), width_multipliers=(1.0, 2.0, 1.0))
-
-    def test_constant_shape_builder(self):
-        arch = Architecture.constant_shape(32, (1.0, 1.0, 1.0, 1.0))
-        assert arch.widths == (32, 32, 32, 1)
 
 
 class TestSerialization:
