@@ -26,6 +26,7 @@ from .diff import (
     directional_output_curvature,
     fd_hessian,
     ggn_vp,
+    gradient_curvatures,
     half_squared_error,
     hvp,
     loss_and_gradient,

@@ -6,9 +6,11 @@ that structure and serve only as independent oracles.  Every exact
 Hessian-vector product (hvp, output_hessian_vp, directional_output_curvature)
 is one R-op, valid for identity and relu networks.  The R-op and the
 Gauss-Newton product ggn_vp share one tangent forward pass, which gives the
-Jacobian-vector product of every layer along a weight direction.  The dense
-output Hessian and its case-formula product with the gradient are closed
-forms for linear networks only.
+Jacobian-vector product of every layer along a weight direction.  Along the
+loss gradient, gradient_curvatures adds the second-order Taylor coefficient
+to that pass and reads both parts of the curvature off the output, with no
+backward pass.  The dense output Hessian and its case-formula product with
+the gradient are closed forms for linear networks only.
 """
 from __future__ import annotations
 
@@ -39,6 +41,10 @@ DENSE_CAP = 20_000
 # truncation h^2, so the balanced step is the quarter root, not the cube
 # root that suits first derivatives.
 _QUART_EPS = float(np.finfo(np.float64).eps ** 0.25)
+
+# Signs of the steps along a and b in the four points of the off-diagonal
+# stencil (f(++) - f(+-) - f(-+) + f(--)) / (4 h_a h_b).
+_FD_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +453,22 @@ def fd_hessian(
     f_diag = eval_stack(diag_stack)
     hess[np.arange(P), np.arange(P)] = (f_diag[:P] - 2.0 * f0 + f_diag[P:]) / h**2
 
-    # Off-diagonal four-point stencils, evaluated in chunks of pairs.
-    pairs = [(a, b) for a in range(P) for b in range(a + 1, P)]
+    # Off-diagonal four-point stencils, evaluated in chunks of pairs a < b.
+    # Row 4i + s of a chunk's stack perturbs pair i by the signs _FD_SIGNS[s].
+    pair_a, pair_b = np.triu_indices(P, 1)
     chunk = max(1, 65536 // max(P, 1))
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        m = len(block)
+    for start in range(0, pair_a.size, chunk):
+        a, b = pair_a[start : start + chunk], pair_b[start : start + chunk]
+        m = a.size
         stack = np.repeat(w0[None, :], 4 * m, axis=0)
-        for i, (a, b) in enumerate(block):
-            stack[4 * i + 0, a] += h[a]
-            stack[4 * i + 0, b] += h[b]
-            stack[4 * i + 1, a] += h[a]
-            stack[4 * i + 1, b] -= h[b]
-            stack[4 * i + 2, a] -= h[a]
-            stack[4 * i + 2, b] += h[b]
-            stack[4 * i + 3, a] -= h[a]
-            stack[4 * i + 3, b] -= h[b]
+        for s, (sign_a, sign_b) in enumerate(_FD_SIGNS):
+            rows = np.arange(s, 4 * m, 4)
+            stack[rows, a] += sign_a * h[a]
+            stack[rows, b] += sign_b * h[b]
         vals = eval_stack(stack).reshape(m, 4)
-        for i, (a, b) in enumerate(block):
-            v = (vals[i, 0] - vals[i, 1] - vals[i, 2] + vals[i, 3]) / (4.0 * h[a] * h[b])
-            hess[a, b] = v
-            hess[b, a] = v
+        v = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h[a] * h[b])
+        hess[a, b] = v
+        hess[b, a] = v
     return 0.5 * (hess + hess.T)
 
 
@@ -502,6 +503,59 @@ def _tangent_forward(
         act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
         z_dot = act_dots[k] @ net.weights[k] + acts[k] @ dirs[k]
     return act_dots, z_dot
+
+
+def _second_order_forward(
+    net: Network, trace: BatchTrace, dirs: list[np.ndarray], act_dots: list[np.ndarray]
+) -> np.ndarray:
+    """Second Taylor coefficient of the output along the weight direction dirs.
+
+    Carries z''_l = a''_{l-1} W_l + 2 a'_{l-1} D_l on top of the first-order
+    tangents a' of _tangent_forward, with the base point's relu masks applied
+    to a'' (relu'' = 0 almost everywhere).  The input does not move, so
+    z''_1 = 0 and layer 2 needs no product with W.  Returns z''_L of shape
+    (n_samples, 1).
+    """
+    masks = trace.masks
+    z_ddot = None
+    for k in range(1, net.depth):
+        cross = 2.0 * (act_dots[k] @ dirs[k])
+        if z_ddot is None:
+            z_ddot = cross
+        else:
+            a_ddot = z_ddot if masks is None else z_ddot * masks[k - 1]
+            z_ddot = a_ddot @ net.weights[k] + cross
+    return np.zeros((trace.activations[0].shape[0], 1)) if z_ddot is None else z_ddot
+
+
+def gradient_curvatures(
+    net: Network, inputs, targets, loss: LossFunction, g: np.ndarray
+) -> tuple[float, float, float]:
+    """Curvature of the batch-mean loss along u = g / ||g||, split in two.
+
+    One forward pass carrying (z, z', z'') along u (univariate Taylor mode;
+    Griewank & Walther, Evaluating Derivatives, ch. 13) gives the output's
+    first and second directional derivatives y' and y'' for every sample.
+    Returns (hess_proj, gn_proj, fun_proj): the Gauss-Newton part
+    u.G u = mean L''(y) y'^2, the functional part u.H u = mean L'(y) y'', and
+    their sum u.(G + H) u, so the split holds exactly.  For relu networks it
+    is the curvature of the smooth piece the batch lies in, as for hvp.
+    """
+    x = _as_batch(inputs)
+    t = _as_targets(targets, x.shape[0])
+    _require_scalar_output(net)
+    g = np.asarray(g, dtype=np.float64).reshape(-1)
+    norm = float(np.linalg.norm(g))
+    if norm == 0.0:
+        raise DirectionError("cannot project along a zero gradient")
+    dirs = _direction_layers(net, g / norm)
+    trace = batch_forward(net, x)
+    act_dots, z_dot = _tangent_forward(net, trace, dirs)
+    z_ddot = _second_order_forward(net, trace, dirs, act_dots)
+    y = trace.outputs
+    gn_proj = float(np.mean(loss.d2(y, t) * z_dot[:, 0] ** 2))
+    fun_proj = float(np.mean(loss.d1(y, t) * z_ddot[:, 0]))
+    return gn_proj + fun_proj, gn_proj, fun_proj
 
 
 def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:

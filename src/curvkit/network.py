@@ -15,6 +15,7 @@ Conventions used everywhere in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,6 +78,7 @@ class ParamIndex:
         self.widths = tuple(widths)
         sizes = [a * b for a, b in zip(widths[:-1], widths[1:])]
         self.offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+        self.offsets.flags.writeable = False  # shared through _param_index
         self.n_params = int(self.offsets[-1])
 
     def layer_slice(self, layer: int) -> slice:
@@ -103,14 +105,20 @@ class ParamIndex:
         return np.concatenate([w.ravel(order="F") for w in weights])
 
     def unflatten(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-layer blocks of vec in weight-matrix shape; views, not copies."""
         if vec.shape != (self.n_params,):
             raise DimensionError(f"expected flat vector of length {self.n_params}")
         out = []
         for layer in range(len(self.widths) - 1):
             block = vec[self.layer_slice(layer)]
             shape = (self.widths[layer], self.widths[layer + 1])
-            out.append(block.reshape(shape, order="F").copy())
+            out.append(block.reshape(shape, order="F"))
         return out
+
+
+@lru_cache(maxsize=64)
+def _param_index(widths: tuple[int, ...]) -> ParamIndex:
+    return ParamIndex(widths)
 
 
 @dataclass
@@ -130,13 +138,13 @@ class Network:
 
     @property
     def param_index(self) -> ParamIndex:
-        return ParamIndex(self.arch.widths)
+        return _param_index(self.arch.widths)
 
     def param_vector(self) -> np.ndarray:
         return self.param_index.flatten(self.weights)
 
     def with_params(self, vec: np.ndarray) -> "Network":
-        return Network(self.arch, self.param_index.unflatten(vec))
+        return Network(self.arch, [w.copy() for w in self.param_index.unflatten(vec)])
 
     def copy(self) -> "Network":
         return Network(self.arch, [w.copy() for w in self.weights])
@@ -244,15 +252,19 @@ def interlayer_jacobian(
 
 
 def save_network(net: Network, path) -> None:
-    """Write a self-describing text file: widths header + row-major blocks."""
-    lines = ["curvkit-network v1", f"activation {net.arch.activation}"]
-    lines.append("widths " + " ".join(str(w) for w in net.arch.widths))
-    for l, w in enumerate(net.weights, start=1):
-        lines.append(f"layer {l} {w.shape[0]}x{w.shape[1]}")
-        for row in w:
-            lines.append(" ".join(format(v, ".17g") for v in row))
+    """Write a self-describing text file: widths header + row-major blocks.
+
+    Each layer is formatted by one %-string and written before the next is
+    formatted, so at most one layer's text is held at a time.
+    """
+    widths = " ".join(str(w) for w in net.arch.widths)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"curvkit-network v1\nactivation {net.arch.activation}\nwidths {widths}\n")
+        for l, w in enumerate(net.weights, start=1):
+            rows, cols = w.shape
+            fh.write(f"layer {l} {rows}x{cols}\n")
+            row_format = " ".join(["%.17g"] * cols) + "\n"
+            fh.write((row_format * rows) % tuple(w.ravel().tolist()))
 
 
 def load_network(path, strict: bool = True) -> Network:

@@ -16,12 +16,28 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# Rows of a float array formatted per %-string, which bounds the text held.
+_BLOCK_CELLS = 1 << 16
+
+
 def write_csv(path, schema: str, header: list[str], rows) -> None:
-    lines = [f"# schema={schema}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+    """Write a header and rows; a 2-D float64 array is written in row blocks.
+
+    The block path formats each cell with %r, which is format_cell's repr of
+    a float, so both paths write the same bytes.
+    """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# schema={schema}\n" + ",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
+            n_rows, n_cols = rows.shape
+            chunk = max(1, _BLOCK_CELLS // max(n_cols, 1))
+            row_format = ",".join(["%r"] * n_cols) + "\n"
+            for start in range(0, n_rows, chunk):
+                block = rows[start : start + chunk]
+                fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+            return
+        for row in rows:
+            fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
 def read_csv(path) -> tuple[str, list[str], list[list[str]]]:

@@ -13,6 +13,7 @@ from curvkit import (
     directional_output_curvature,
     fd_hessian,
     ggn_vp,
+    gradient_curvatures,
     half_squared_error,
     hvp,
     init_network,
@@ -26,6 +27,8 @@ from curvkit import (
     raw_output,
     squared_error,
 )
+from curvkit.curvature import curvature_projection
+from curvkit.diff import _QUART_EPS, _loss_at_param_stack
 
 
 def chain(weights, activation="identity"):
@@ -288,6 +291,62 @@ class TestFdHessian:
             fd_hessian(net, np.ones((1, 30)), [0.0], squared_error(), dense_cap=100)
 
 
+def loop_fd_hessian(net, xs, ts, loss):
+    """fd_hessian as written before its stencil was vectorized: one Python
+    loop over the pairs a < b builds the stack, another reads the values."""
+    P = net.param_index.n_params
+    w0 = net.param_vector()
+    h = _QUART_EPS * (1.0 + np.abs(w0))
+    x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    t = np.asarray(ts, dtype=np.float64)
+
+    def eval_stack(stack):
+        return _loss_at_param_stack(net, x, t, loss, stack)
+
+    f0 = float(eval_stack(w0[None, :])[0])
+    hess = np.zeros((P, P))
+    diag_stack = np.repeat(w0[None, :], 2 * P, axis=0)
+    diag_stack[np.arange(P), np.arange(P)] += h
+    diag_stack[P + np.arange(P), np.arange(P)] -= h
+    f_diag = eval_stack(diag_stack)
+    hess[np.arange(P), np.arange(P)] = (f_diag[:P] - 2.0 * f0 + f_diag[P:]) / h**2
+    pairs = [(a, b) for a in range(P) for b in range(a + 1, P)]
+    chunk = max(1, 65536 // max(P, 1))
+    for start in range(0, len(pairs), chunk):
+        block = pairs[start : start + chunk]
+        m = len(block)
+        stack = np.repeat(w0[None, :], 4 * m, axis=0)
+        for i, (a, b) in enumerate(block):
+            stack[4 * i + 0, a] += h[a]
+            stack[4 * i + 0, b] += h[b]
+            stack[4 * i + 1, a] += h[a]
+            stack[4 * i + 1, b] -= h[b]
+            stack[4 * i + 2, a] -= h[a]
+            stack[4 * i + 2, b] += h[b]
+            stack[4 * i + 3, a] -= h[a]
+            stack[4 * i + 3, b] -= h[b]
+        vals = eval_stack(stack).reshape(m, 4)
+        for i, (a, b) in enumerate(block):
+            v = (vals[i, 0] - vals[i, 1] - vals[i, 2] + vals[i, 3]) / (4.0 * h[a] * h[b])
+            hess[a, b] = v
+            hess[b, a] = v
+    return 0.5 * (hess + hess.T)
+
+
+class TestFdHessianStencil:
+    # P = 59 (one chunk of pairs) and P = 114 (twelve chunks).
+    @pytest.mark.parametrize(
+        "widths, activation", [((4, 6, 5, 1), "identity"), ((6, 6, 6, 6, 1), "relu")]
+    )
+    def test_bitwise_equal_to_loop_stencil(self, widths, activation):
+        net = random_net(widths, 90, activation)
+        gen = RngStream(91, 0).generator()
+        xs = gen.standard_normal((4, widths[0]))
+        ts = gen.integers(0, 2, 4) * 2.0 - 1.0
+        got = fd_hessian(net, xs, ts, squared_error())
+        assert np.array_equal(got, loop_fd_hessian(net, xs, ts, squared_error()))
+
+
 class TestHvp:
     def test_zero_direction(self):
         net = chain([1.0, 1.0])
@@ -368,6 +427,55 @@ class TestGgnVp:
             got = ggn_vp(net, xs, ts, squared_error(), v)
             ref = dense @ v
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestGradientCurvatures:
+    """The Taylor pass against projections of the R-op and Gauss-Newton products."""
+
+    @staticmethod
+    def assert_matches_products(net, xs, ts, loss):
+        _, g = loss_and_gradient(net, xs, ts, loss)
+        hess_ref = curvature_projection(lambda v: hvp(net, xs, ts, loss, v), g)
+        gn_ref = curvature_projection(lambda v: ggn_vp(net, xs, ts, loss, v), g)
+        hess, gn, fun = gradient_curvatures(net, xs, ts, loss, g)
+        scale = max(abs(hess_ref), abs(gn_ref))
+        assert abs(hess - hess_ref) <= 1e-12 * scale
+        assert abs(gn - gn_ref) <= 1e-12 * scale
+        assert abs(fun - (hess_ref - gn_ref)) <= 1e-12 * scale
+        assert hess == gn + fun
+
+    @pytest.mark.parametrize("widths", [(3, 1), (4, 3, 1), (4, 5, 6, 3, 1)])
+    @pytest.mark.parametrize("loss", [squared_error(), half_squared_error(0.5), raw_output()])
+    def test_identity_nets(self, widths, loss):
+        net = random_net(widths, 92)
+        gen = RngStream(93, 0).generator()
+        xs = gen.standard_normal((6, widths[0]))
+        ts = gen.integers(0, 2, 6) * 2.0 - 1.0
+        self.assert_matches_products(net, xs, ts, loss)
+
+    @pytest.mark.parametrize("seed", [94, 95, 96])
+    def test_relu_nets_off_kinks(self, seed):
+        gen = RngStream(seed, 1).generator()
+        x = gen.standard_normal(4)
+        net = relu_net_off_kinks((4, 5, 6, 3, 1), seed, x)
+        self.assert_matches_products(net, x, 1.0, squared_error())
+
+    def test_relu_batch(self):
+        net = random_net((5, 8, 7, 6, 1), 97, "relu")
+        gen = RngStream(98, 0).generator()
+        xs = gen.standard_normal((9, 5))
+        ts = gen.integers(0, 2, 9) * 2.0 - 1.0
+        self.assert_matches_products(net, xs, ts, squared_error())
+
+    def test_zero_gradient_rejected(self):
+        net = random_net((3, 2, 1), 99)
+        with pytest.raises(DirectionError, match="cannot project along a zero gradient"):
+            gradient_curvatures(net, np.ones((2, 3)), 0.0, squared_error(), np.zeros(8))
+
+    def test_wrong_length_rejected(self):
+        net = random_net((3, 2, 1), 99)
+        with pytest.raises(DimensionError):
+            gradient_curvatures(net, np.ones((2, 3)), 0.0, squared_error(), np.ones(7))
 
 
 class TestDirectionalCurvature:

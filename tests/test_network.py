@@ -208,6 +208,25 @@ class TestParamIndex:
         rebuilt = net.with_params(vec)
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, rebuilt.weights))
 
+    def test_with_params_copies(self):
+        net = random_net((4, 3, 1), 17)
+        vec = net.param_vector()
+        rebuilt = net.with_params(vec)
+        vec[:] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, rebuilt.weights))
+
+    def test_unflatten_returns_views(self):
+        index = ParamIndex((3, 2, 1))
+        vec = np.arange(8.0)
+        blocks = index.unflatten(vec)
+        assert all(np.shares_memory(b, vec) for b in blocks)
+        assert blocks[0][2, 1] == vec[index.to_flat(WeightCoord(0, 1, 2))]
+
+    def test_index_shared_per_widths(self):
+        a, b = random_net((4, 3, 1), 18), random_net((4, 3, 1), 19)
+        assert a.param_index is b.param_index
+        assert not a.param_index.offsets.flags.writeable
+
     def test_flat_entry_matches_weight(self):
         net = random_net((3, 2, 1), 16)
         index = net.param_index
@@ -244,6 +263,19 @@ class TestSerialization:
             load_network(path)
         lenient = load_network(path, strict=False)
         assert np.isnan(lenient.weights[0][0, 0])
+
+    def test_special_values_text_and_round_trip(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, 1e300, np.nan, np.inf, -np.inf, 0.1]
+        w1 = np.array(special).reshape(2, 4)
+        net = Network(Architecture((2, 4, 1)), [w1, np.array([[1.0], [-0.0], [2.5e-310], [-1e-300]])])
+        path = tmp_path / "net.txt"
+        save_network(net, path)
+        expected = ["curvkit-network v1", "activation identity", "widths 2 4 1", "layer 1 2x4"]
+        expected += [" ".join(format(float(v), ".17g") for v in row) for row in w1]
+        expected += ["layer 2 4x1"] + [format(float(v), ".17g") for v in net.weights[1][:, 0]]
+        assert path.read_text() == "\n".join(expected) + "\n"
+        loaded = load_network(path, strict=False)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(net.weights, loaded.weights))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
