@@ -174,6 +174,11 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"distribution must be one of {DISTRIBUTION_KINDS}")
     if any(w < 1 for w in cfg["arch"]["widths"]) or len(cfg["arch"]["widths"]) < 2:
         raise ConfigError(f"invalid widths {cfg['arch']['widths']}")
+    if cfg["arch"]["widths"][-1] != 1:
+        raise ConfigError(
+            f"output width must be 1, got widths {cfg['arch']['widths']}: "
+            "all Hessian analysis is defined for a single output unit"
+        )
     if cfg["train"]["lr"] < 0:
         raise ConfigError("train lr must be non-negative")
     if cfg["mc"]["trials"] < 2:
@@ -292,11 +297,26 @@ def cmd_check(cfg: dict, weights_path: str | None, out_dir: Path) -> int:
         if net.arch.activation != IDENTITY:
             print("error: unsupported activation in weight file (identity required)", file=sys.stderr)
             return 2
+        if net.arch.widths[-1] != 1:
+            print(
+                f"error: weight file has output width {net.arch.widths[-1]} (a single output unit required)",
+                file=sys.stderr,
+            )
+            return 2
     else:
         arch = Architecture(tuple(cfg["arch"]["widths"]), IDENTITY)
         net = init_network(arch, cfg["init"]["distribution"], RngStream(cfg["init"]["seed"], 0))
     if net.param_index.n_params > 4000:
         print("error: check requires a small architecture (P <= 4000)", file=sys.stderr)
+        return 2
+    if net.depth < 2:
+        # The output Hessian of one weight layer is exactly 0, so the
+        # relative error against the FD oracle has no scale but rounding.
+        print(
+            "error: check requires at least two weight layers "
+            "(the output Hessian of a one-layer net is identically zero)",
+            file=sys.stderr,
+        )
         return 2
     checks = _run_checks(net, cfg)
     for c in checks:
@@ -492,13 +512,16 @@ def _parse_gain(raw: str) -> float | None:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
+    batch_size, n_samples = cfg["train"]["batch_size"], cfg["data"]["n_samples"]
+    if cfg["train"]["epochs"] > 0 and batch_size > n_samples:
+        raise ConfigError(f"train batch_size = {batch_size} exceeds data n_samples = {n_samples}")
     arch = Architecture(tuple(cfg["arch"]["widths"]), cfg["arch"]["activation"])
     return TrainConfig(
         architecture=arch,
         loss=squared_error(),
         learning_rate=cfg["train"]["lr"],
         halve_at=tuple(cfg["train"]["halve_at"]),
-        batch_size=cfg["train"]["batch_size"],
+        batch_size=batch_size,
         epochs=cfg["train"]["epochs"],
         probe_every=cfg["train"]["probe_every"],
         data_seed=cfg["data"]["seed"],

@@ -394,23 +394,32 @@ def _loss_at_param_stack(
 ) -> np.ndarray:
     """Batch loss evaluated at a stack of flat parameter vectors.
 
-    stack has shape (B, P); returns (B,).  Used to vectorize the dense
-    finite-difference Hessian, which otherwise needs millions of tiny
-    forward passes.
+    stack has shape (B, P); returns (B,).  Each row is read as the flat
+    parameter vector of its own network and the inputs are pushed through
+    in the column layout (B, n_l, N), every layer one BLAS product.  The
+    inputs are the same for every row, so layer 1 is a single GEMM of all
+    B first-layer blocks against inputs.T; later layers are one batched
+    matmul W_b @ a_b each.
+
+    This loop is the finite-difference oracle's own forward pass.  It
+    shares no code with batch_forward, the tangent passes or the R-op, and
+    it knows nothing of the network beyond the flat layout of each row, so
+    a fault in the exact routes cannot also hide in the oracle.
     """
     index = net.param_index
     widths = net.arch.widths
     relu = net.arch.activation == RELU
     depth = net.depth
-    acts = np.broadcast_to(inputs, (stack.shape[0],) + inputs.shape)
-    for l in range(1, depth + 1):
-        # Layer block in flat order is column-major, i.e. (n_l, n_{l-1}) row-major.
-        w_t = stack[:, index.layer_slice(l - 1)].reshape(-1, widths[l], widths[l - 1])
-        z = np.einsum("bnj,bij->bni", acts, w_t)
-        if relu and l < depth:
-            z = np.maximum(z, 0.0)
-        acts = z
-    outputs = acts[:, :, 0]
+    n_rows = stack.shape[0]
+    # A layer block in flat order is (n_l, n_{l-1}) row-major, i.e. W_l^T.
+    first = stack[:, index.layer_slice(0)].reshape(n_rows * widths[1], widths[0])
+    acts = (first @ inputs.T).reshape(n_rows, widths[1], inputs.shape[0])
+    for l in range(2, depth + 1):
+        if relu:
+            acts = np.maximum(acts, 0.0)
+        w_t = stack[:, index.layer_slice(l - 1)].reshape(n_rows, widths[l], widths[l - 1])
+        acts = w_t @ acts
+    outputs = acts[:, 0, :]
     return np.mean(loss.value(outputs, targets[None, :]), axis=1)
 
 
@@ -428,7 +437,10 @@ def fd_hessian(
     step is given; diagonal entries use the three-point stencil, off-diagonal
     entries the four-point stencil, and the result is symmetrized.
     Deliberately ignorant of network structure: this is the oracle the
-    closed-form routes are judged against.
+    closed-form routes are judged against.  It only ever evaluates the batch
+    loss at stacks of flat parameter vectors (_loss_at_param_stack, whose
+    forward loop is its own), so it shares no kernel with the routes it
+    judges.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])

@@ -313,6 +313,42 @@ n_seeds = 1
 """
 
 
+NON_SCALAR = """
+[arch]
+widths = 4 4 4 2
+
+[mc]
+trials = 50
+
+[train]
+epochs = 1
+batch_size = 10
+
+[data]
+n_samples = 20
+
+[sweep]
+widths = 4
+n_seeds = 1
+"""
+
+BIG_BATCH = """
+[arch]
+widths = 4 4 4 1
+
+[train]
+epochs = {epochs}
+batch_size = 100
+
+[data]
+n_samples = 20
+
+[sweep]
+widths = 4
+n_seeds = 1
+"""
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_dead_relu_sweep_cell_is_exit_3(self, tmp_path, epochs):
@@ -326,6 +362,59 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "zero gradient" in json.loads((out / "manifest.json").read_text())["aborted"]
 
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["train"], ["sweep"], ["theory", "thm1"], ["theory", "thm2"],
+         ["theory", "norm"], ["theory", "cross"], ["theory", "identities"]],
+    )
+    def test_non_scalar_output_is_exit_2(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.ini", NON_SCALAR)
+        result = run_cli(*command, "--config", cfg, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "output width must be 1" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "widths, cause", [((3, 4, 2), "output width 2"), ((3, 1), "at least two weight layers")]
+    )
+    def test_unsupported_weight_file_is_exit_2(self, tmp_path, widths, cause):
+        net = init_network(Architecture(widths), "gaussian", RngStream(1, 0))
+        weights_path = tmp_path / "net.txt"
+        save_network(net, weights_path)
+        cfg = write_config(tmp_path / "c.ini", SMALL)
+        result = run_cli(
+            "check", "--config", cfg, "--weights", str(weights_path),
+            "--out", str(tmp_path / "out"), cwd=tmp_path,
+        )
+        assert result.returncode == 2, result.stderr
+        assert cause in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_batch_larger_than_dataset_is_exit_2(self, tmp_path, command):
+        cfg = write_config(tmp_path / "c.ini", BIG_BATCH.format(epochs=1))
+        result = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "batch_size = 100" in result.stderr and "n_samples = 20" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_batch_larger_than_dataset_without_steps_still_sweeps(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", BIG_BATCH.format(epochs=0))
+        out = tmp_path / "o"
+        result = run_cli("sweep", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 1
+
+    def test_one_layer_check_is_exit_2(self, tmp_path):
+        # The closed-form output Hessian of one weight layer is exactly 0, so
+        # its relative error against the FD oracle's rounding noise reads 1.
+        cfg = write_config(tmp_path / "c.ini", "[arch]\nwidths = 3 1\n")
+        result = run_cli("check", "--config", cfg, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "at least two weight layers" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_malformed_config_is_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[nope]\nkey = 1\n")

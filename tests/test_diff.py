@@ -347,6 +347,26 @@ class TestFdHessianStencil:
         assert np.array_equal(got, loop_fd_hessian(net, xs, ts, squared_error()))
 
 
+class TestLossAtParamStack:
+    # Non-square layers, so a transposed layer block changes the loss; a
+    # one-layer net, whose only layer is the output layer.
+    @pytest.mark.parametrize("widths", [(5, 3, 7, 1), (4, 6, 5, 1), (3, 1)])
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("n_samples", [1, 5])
+    def test_each_row_is_the_batch_loss_of_its_network(self, widths, activation, n_samples):
+        net = random_net(widths, 95, activation)
+        gen = RngStream(96, 0).generator()
+        xs = gen.standard_normal((n_samples, widths[0]))
+        ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
+        stack = gen.standard_normal((7, net.param_index.n_params))
+        got = _loss_at_param_stack(net, xs, ts, squared_error(), stack)
+        want = np.array(
+            [batch_loss(net.with_params(row), xs, ts, squared_error()) for row in stack]
+        )
+        assert got.shape == (7,)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 class TestHvp:
     def test_zero_direction(self):
         net = chain([1.0, 1.0])
