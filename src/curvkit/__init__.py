@@ -66,7 +66,6 @@ from .network import (
     Architecture,
     Network,
     ParamIndex,
-    WeightCoord,
     batch_forward,
     forward,
     init_network,
@@ -80,8 +79,6 @@ from .rng import (
     UNIFORM,
     InitDistribution,
     RngStream,
-    empirical_moment,
-    sample_weight_matrix,
 )
 from .theory import (
     BilinearReport,

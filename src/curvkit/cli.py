@@ -14,8 +14,10 @@ import argparse
 import configparser
 import copy
 import json
+import operator
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ from .diff import (
     raw_output,
     squared_error,
 )
-from .errors import ConfigError, CurvkitError, DirectionError, DivergenceError
+from .errors import ConfigError, CurvkitError, DimensionError, DirectionError, DivergenceError
 from .experiment import (
     TrainConfig,
     generate_dataset,
@@ -97,53 +99,59 @@ def _parse_str(raw: str) -> str:
     return raw.strip()
 
 
-# Section -> key -> (parser, default).  Unknown sections or keys are rejected.
+# Lower bounds: (comparison, value).  A number, or every entry of a list,
+# must satisfy it; NaN satisfies none.
+AT_LEAST_0, AT_LEAST_1, POSITIVE = (">=", 0), (">=", 1), (">", 0.0)
+_COMPARE = {">=": operator.ge, ">": operator.gt}
+
+# Section -> key -> (parser, default, lower bound or None).  Unknown sections
+# or keys are rejected.
 CONFIG_SPEC = {
     "arch": {
-        "widths": (_parse_int_list, [4, 5, 6, 3, 1]),
-        "activation": (_parse_str, IDENTITY),
+        "widths": (_parse_int_list, [4, 5, 6, 3, 1], AT_LEAST_1),
+        "activation": (_parse_str, IDENTITY, None),
     },
     "init": {
-        "distribution": (_parse_str, "gaussian"),
-        "seed": (_parse_int, 1),
-        "gain": (_parse_str, "auto"),
+        "distribution": (_parse_str, "gaussian", None),
+        "seed": (_parse_int, 1, AT_LEAST_0),
+        "gain": (_parse_str, "auto", None),
     },
     "train": {
-        "lr": (_parse_float, 0.1),
-        "halve_at": (_parse_int_list, [40, 80, 120]),
-        "batch_size": (_parse_int, 100),
-        "epochs": (_parse_int, 100),
-        "probe_every": (_parse_int, 0),
+        "lr": (_parse_float, 0.1, AT_LEAST_0),
+        "halve_at": (_parse_int_list, [40, 80, 120], AT_LEAST_0),
+        "batch_size": (_parse_int, 100, AT_LEAST_1),
+        "epochs": (_parse_int, 100, AT_LEAST_0),
+        "probe_every": (_parse_int, 0, AT_LEAST_0),
     },
     "data": {
-        "n_samples": (_parse_int, 1000),
-        "seed": (_parse_int, 2),
+        "n_samples": (_parse_int, 1000, AT_LEAST_1),
+        "seed": (_parse_int, 2, AT_LEAST_0),
     },
     "mc": {
-        "trials": (_parse_int, 20000),
-        "seed": (_parse_int, 3),
+        "trials": (_parse_int, 20000, (">=", 2)),
+        "seed": (_parse_int, 3, AT_LEAST_0),
     },
     "out": {
-        "directory": (_parse_str, "curvkit_out"),
+        "directory": (_parse_str, "curvkit_out", None),
     },
     "sweep": {
-        "widths": (_parse_int_list, [50, 200, 400]),
-        "n_seeds": (_parse_int, 10),
+        "widths": (_parse_int_list, [50, 200, 400], AT_LEAST_1),
+        "n_seeds": (_parse_int, 10, AT_LEAST_1),
     },
     "theory": {
-        "epsilon": (_parse_float, 0.1),
-        "alpha": (_parse_float, 2.0),
-        "beta": (_parse_float, 0.5),
-        "gamma": (_parse_float, 1.0),
-        "stderr_sigmas": (_parse_float, 4.0),
-        "mean_tol_rel": (_parse_float, 0.10),
-        "target_magnitude": (_parse_float, 1.0),
+        "epsilon": (_parse_float, 0.1, POSITIVE),
+        "alpha": (_parse_float, 2.0, POSITIVE),
+        "beta": (_parse_float, 0.5, POSITIVE),
+        "gamma": (_parse_float, 1.0, POSITIVE),
+        "stderr_sigmas": (_parse_float, 4.0, AT_LEAST_0),
+        "mean_tol_rel": (_parse_float, 0.10, AT_LEAST_0),
+        "target_magnitude": (_parse_float, 1.0, AT_LEAST_0),
     },
 }
 
 
 def default_config() -> dict:
-    return {sec: {k: copy.deepcopy(d) for k, (_, d) in keys.items()} for sec, keys in CONFIG_SPEC.items()}
+    return {sec: {k: copy.deepcopy(d) for k, (_, d, _) in keys.items()} for sec, keys in CONFIG_SPEC.items()}
 
 
 def load_config(path: str | None) -> dict:
@@ -168,21 +176,27 @@ def load_config(path: str | None) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
+    for section, keys in CONFIG_SPEC.items():
+        for key, (_, _, bound) in keys.items():
+            if bound is None:
+                continue
+            op, lower = bound
+            value = cfg[section][key]
+            if not all(_COMPARE[op](v, lower) for v in (value if isinstance(value, list) else [value])):
+                raise ConfigError(f"[{section}] {key} must be {op} {lower}, got {value}")
     if cfg["arch"]["activation"] not in (IDENTITY, RELU):
         raise ConfigError(f"activation must be identity or relu, got {cfg['arch']['activation']!r}")
     if cfg["init"]["distribution"] not in DISTRIBUTION_KINDS:
         raise ConfigError(f"distribution must be one of {DISTRIBUTION_KINDS}")
-    if any(w < 1 for w in cfg["arch"]["widths"]) or len(cfg["arch"]["widths"]) < 2:
-        raise ConfigError(f"invalid widths {cfg['arch']['widths']}")
+    if len(cfg["arch"]["widths"]) < 2:
+        raise ConfigError(f"[arch] widths needs an input and an output width, got {cfg['arch']['widths']}")
+    if not cfg["sweep"]["widths"]:
+        raise ConfigError("[sweep] widths needs at least one width")
     if cfg["arch"]["widths"][-1] != 1:
         raise ConfigError(
             f"output width must be 1, got widths {cfg['arch']['widths']}: "
             "all Hessian analysis is defined for a single output unit"
         )
-    if cfg["train"]["lr"] < 0:
-        raise ConfigError("train lr must be non-negative")
-    if cfg["mc"]["trials"] < 2:
-        raise ConfigError("mc trials must be >= 2")
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict, started: float) -> None:
@@ -407,22 +421,24 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
         _require_constant_shape(mc.widths)
         multipliers = (1.0,) * len(mc.widths)
         eps = tcfg["epsilon"]
+        try:
+            params = CurvatureBoundParams(
+                epsilon=eps,
+                loss_curvature_min=tcfg["alpha"],
+                loss_slope_min=tcfg["beta"],
+                multipliers=multipliers,
+                base_width=mc.widths[0],
+                variance_constant=tcfg["gamma"],
+                input_norm_sq=1.0,
+            )
+        except DimensionError as exc:
+            raise ConfigError(f"[theory] epsilon = {eps}, beta = {tcfg['beta']}: {exc}") from exc
         # The three ensembles share their seed, so the samplers share one
         # table: each trial's network is drawn once for all three.
         norm_result = mc_grad_norm_stats(mc, multipliers, n_workers=threads)
         qf = quadform_samples(mc, threads)
         gamma_fit = backfit_variance_constant(float(np.var(qf, ddof=1)), multipliers, mc.widths[0])
-        params = CurvatureBoundParams(
-            epsilon=eps,
-            loss_curvature_min=tcfg["alpha"],
-            loss_slope_min=tcfg["beta"],
-            multipliers=multipliers,
-            base_width=mc.widths[0],
-            variance_constant=tcfg["gamma"],
-            input_norm_sq=1.0,
-            deviation=norm_result.deviation,
-        )
-        bound = positive_curvature_bound(params)
+        bound = positive_curvature_bound(replace(params, deviation=norm_result.deviation))
         pos = mc_curvature_positivity(mc, eps, tcfg["target_magnitude"], threads)
         if bound > 0:
             margin = 1.645 * np.sqrt(bound * (1.0 - bound) / mc.n_trials) if bound < 1 else 0.0
@@ -634,6 +650,7 @@ def main(argv=None) -> int:
                 cfg["mc"]["seed"] = args.seed
             else:
                 cfg["init"]["seed"] = args.seed
+            _validate_config(cfg)
         out_dir = _prepare_out(cfg, args.out)
         if args.command == "check":
             return cmd_check(cfg, args.weights, out_dir)

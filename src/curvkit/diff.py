@@ -9,8 +9,10 @@ Gauss-Newton product ggn_vp share one tangent forward pass, which gives the
 Jacobian-vector product of every layer along a weight direction.  Along the
 loss gradient, gradient_curvatures adds the second-order Taylor coefficient
 to that pass and reads both parts of the curvature off the output, with no
-backward pass.  The dense output Hessian and its case-formula product with
-the gradient are closed forms for linear networks only.
+backward pass.  Both passes take the direction as its action v -> v D_l on
+each layer, so the Monte Carlo engine in theory runs them on stacks of
+networks.  The dense output Hessian and its case-formula product with the
+gradient are closed forms for linear networks only.
 """
 from __future__ import annotations
 
@@ -153,22 +155,23 @@ def _require_identity(net: Network, what: str) -> None:
         raise ActivationError(f"{what} is defined for identity-activation (linear) networks only")
 
 
-def _backward_signals(net: Network, trace: BatchTrace) -> list[np.ndarray]:
-    """Per-sample derivatives of the scalar output w.r.t. pre-activations.
+def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
+    """a[k] = d(output)/d(layer-k activations) in row layout, for k = 1 .. L.
 
-    Returns b[k] of shape (n_samples, n_k) for k = 1 .. L (list index k-1),
-    so the per-sample gradient block of layer k is outer(y_{k-1}, b_k).
+    The backward pass of every route: a_L = seed and a_k = a_{k+1} W_{k+1}^T,
+    times the hidden layer's relu mask when masks are given.  seed is ones of
+    shape (1,) for one network, (n_samples, 1) for a batch, or (T, 1, 1) for
+    stacked (T, n_{k-1}, n_k) weights.  Layer k's output-gradient block is
+    y_{k-1} (x) a_k, so a[0] is never needed and stays None.
     """
-    depth = net.depth
-    n = trace.activations[0].shape[0]
-    b = [None] * depth
-    b[depth - 1] = np.ones((n, 1))
+    depth = len(weights)
+    a = [None] * (depth + 1)
+    a[depth] = seed
     for k in range(depth - 1, 0, -1):
-        upstream = b[k] @ net.weights[k].T  # d(output)/d(activation of layer k)
-        if net.arch.activation == RELU:
-            upstream = upstream * trace.masks[k - 1]
-        b[k - 1] = upstream
-    return b
+        a[k] = a[k + 1] @ np.swapaxes(weights[k], -1, -2)
+        if masks is not None:
+            a[k] = a[k] * masks[k - 1]
+    return a
 
 
 def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
@@ -182,11 +185,11 @@ def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
 
 def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarray) -> np.ndarray:
     """Flat vector sum_s w_s * (gradient of output_s w.r.t. all weights)."""
-    b = _backward_signals(net, trace)
+    a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
     blocks = []
     for k in range(net.depth):
         y_prev = trace.activations[k]
-        weighted = b[k] * sample_weights[:, None]
+        weighted = a[k + 1] * sample_weights[:, None]
         blocks.append((weighted.T @ y_prev).reshape(-1))  # (n_k, n_{k-1}) row-major
     return np.concatenate(blocks)
 
@@ -226,10 +229,10 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
     x = _as_batch(inputs)
     _require_scalar_output(net)
     trace = batch_forward(net, x)
-    b = _backward_signals(net, trace)
+    a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
     blocks = []
     for k in range(net.depth):
-        outer = b[k][:, :, None] * trace.activations[k][:, None, :]  # (N, n_k, n_{k-1})
+        outer = a[k + 1][:, :, None] * trace.activations[k][:, None, :]  # (N, n_k, n_{k-1})
         blocks.append(outer.reshape(x.shape[0], -1))
     return np.concatenate(blocks, axis=1)
 
@@ -250,16 +253,6 @@ def _jacobian_table(net: Network) -> dict[tuple[int, int], np.ndarray]:
             else:
                 table[(l, k)] = table[(l, k - 1)] @ net.weights[k - 1]
     return table
-
-
-def _output_sensitivities(net: Network) -> list[np.ndarray]:
-    """a[k] = d(output)/d(layer k activations) as a vector, for k = 0 .. L."""
-    depth = net.depth
-    a = [None] * (depth + 1)
-    a[depth] = np.ones(1)
-    for k in range(depth - 1, -1, -1):
-        a[k] = net.weights[k] @ a[k + 1]
-    return a
 
 
 def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
@@ -284,7 +277,7 @@ def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
     hess = np.zeros((P, P))
     if depth == 1:
         return hess  # output linear in the only weight layer
-    a = _output_sensitivities(net)
+    a = _output_sensitivities(net.weights, np.ones(1))
     jac = _jacobian_table(net)
     widths = net.arch.widths
     for k in range(1, depth + 1):
@@ -326,7 +319,7 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     depth = net.depth
     if depth == 1:
         return np.zeros(index.n_params)
-    a = _output_sensitivities(net)
+    a = _output_sensitivities(net.weights, np.ones(1))
     jac = _jacobian_table(net)
     a_sq = [None] + [float(a[k] @ a[k]) for k in range(1, depth + 1)]
     y_sq = [float(y[l] @ y[l]) for l in range(depth + 1)]
@@ -498,46 +491,47 @@ def _direction_layers(net: Network, v) -> list[np.ndarray]:
     return index.unflatten(v)
 
 
-def _tangent_forward(
-    net: Network, trace: BatchTrace, dirs: list[np.ndarray]
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Jacobian-vector product of every layer along the weight direction dirs.
+def _dense_along(dirs: list[np.ndarray]):
+    """The action along(k, v) = v D_{k+1} of a direction held as dense blocks."""
+    return lambda k, v: v @ dirs[k]
 
-    Carries z'_l = a'_{l-1} W_l + a_{l-1} D_l with the base point's relu masks
-    applied to a'.  Returns the hidden tangents a'_k (list index k, with None
-    for the input, which does not move with the weights) and the output
-    tangent z'_L of shape (n_samples, 1).
+
+def _tangent_forward(weights, acts, masks, along):
+    """Jacobian-vector product of every layer along a weight direction D.
+
+    Carries z'_l = a'_{l-1} W_l + a_{l-1} D_l, with the direction entering
+    only through its action along(k, v) = v D_{k+1} and the base point's relu
+    masks (None for identity) applied to a'.  acts and weights may be
+    stacked as in network._forward.  Returns the hidden tangents a'_k (list
+    index k, with None for the input, which does not move with the weights)
+    and the output tangent z'_L.
     """
-    acts, masks = trace.activations, trace.masks
     act_dots = [None]
-    z_dot = acts[0] @ dirs[0]
-    for k in range(1, net.depth):
+    z_dot = along(0, acts[0])
+    for k in range(1, len(weights)):
         act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
-        z_dot = act_dots[k] @ net.weights[k] + acts[k] @ dirs[k]
+        z_dot = act_dots[k] @ weights[k] + along(k, acts[k])
     return act_dots, z_dot
 
 
-def _second_order_forward(
-    net: Network, trace: BatchTrace, dirs: list[np.ndarray], act_dots: list[np.ndarray]
-) -> np.ndarray:
-    """Second Taylor coefficient of the output along the weight direction dirs.
+def _second_order_forward(weights, acts, masks, along, act_dots) -> np.ndarray:
+    """Second Taylor coefficient of the output along a weight direction D.
 
     Carries z''_l = a''_{l-1} W_l + 2 a'_{l-1} D_l on top of the first-order
-    tangents a' of _tangent_forward, with the base point's relu masks applied
-    to a'' (relu'' = 0 almost everywhere).  The input does not move, so
-    z''_1 = 0 and layer 2 needs no product with W.  Returns z''_L of shape
-    (n_samples, 1).
+    tangents a' of _tangent_forward, with the same action along and the base
+    point's relu masks applied to a'' (relu'' = 0 almost everywhere).  The
+    input does not move, so z''_1 = 0 and layer 2 needs no product with W.
+    Returns z''_L, shaped like the output activations.
     """
-    masks = trace.masks
     z_ddot = None
-    for k in range(1, net.depth):
-        cross = 2.0 * (act_dots[k] @ dirs[k])
+    for k in range(1, len(weights)):
+        cross = 2.0 * along(k, act_dots[k])
         if z_ddot is None:
             z_ddot = cross
         else:
             a_ddot = z_ddot if masks is None else z_ddot * masks[k - 1]
-            z_ddot = a_ddot @ net.weights[k] + cross
-    return np.zeros((trace.activations[0].shape[0], 1)) if z_ddot is None else z_ddot
+            z_ddot = a_ddot @ weights[k] + cross
+    return np.zeros_like(acts[-1]) if z_ddot is None else z_ddot
 
 
 def gradient_curvatures(
@@ -560,10 +554,11 @@ def gradient_curvatures(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise DirectionError("cannot project along a zero gradient")
-    dirs = _direction_layers(net, g / norm)
+    along = _dense_along(_direction_layers(net, g / norm))
     trace = batch_forward(net, x)
-    act_dots, z_dot = _tangent_forward(net, trace, dirs)
-    z_ddot = _second_order_forward(net, trace, dirs, act_dots)
+    taylor = (net.weights, trace.activations, trace.masks, along)
+    act_dots, z_dot = _tangent_forward(*taylor)
+    z_ddot = _second_order_forward(*taylor, act_dots)
     y = trace.outputs
     gn_proj = float(np.mean(loss.d2(y, t) * z_dot[:, 0] ** 2))
     fun_proj = float(np.mean(loss.d1(y, t) * z_ddot[:, 0]))
@@ -584,7 +579,7 @@ def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.nda
     weights, depth = net.weights, net.depth
     trace = batch_forward(net, x)
     acts, masks = trace.activations, trace.masks
-    act_dots, z_dot = _tangent_forward(net, trace, dirs)
+    act_dots, z_dot = _tangent_forward(weights, acts, masks, _dense_along(dirs))
 
     n = x.shape[0]
     y = trace.outputs
@@ -623,9 +618,9 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     _require_scalar_output(net)
-    dirs = _direction_layers(net, v)
+    along = _dense_along(_direction_layers(net, v))
     trace = batch_forward(net, x)
-    _, z_dot = _tangent_forward(net, trace, dirs)
+    _, z_dot = _tangent_forward(net.weights, trace.activations, trace.masks, along)
     coeff = loss.d2(trace.outputs, t) * z_dot[:, 0] / x.shape[0]
     return _weighted_gradient(net, trace, coeff)
 

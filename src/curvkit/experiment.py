@@ -125,7 +125,7 @@ class TrainConfig:
     divergence_ratio: float = 1e6
 
     def __post_init__(self):
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails too
             raise DimensionError("learning rate must be non-negative")
         if self.batch_size < 1 or self.epochs < 0 or self.probe_every < 0:
             raise DimensionError("batch_size >= 1, epochs >= 0, probe_every >= 0 required")
@@ -218,7 +218,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     after the step on the same minibatch, which is the quantity the one-step
     expansion describes; at probe steps the exact projections are measured
     at the pre-step weights.  Aborts with the partial log attached if the
-    loss exceeds divergence_ratio times its initial value.
+    loss exceeds divergence_ratio times its initial value or is not finite.
     """
     if dataset.inputs.shape[1] != net.arch.widths[0]:
         raise DimensionError("dataset dimension does not match the network input width")
@@ -275,14 +275,14 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
             )
             step_losses.append(loss_before)
             step += 1
-            if loss_after > cfg.divergence_ratio * max(initial_loss, 1e-300):
+            # Written so that a NaN loss, which fails every comparison, aborts too.
+            if not loss_after <= cfg.divergence_ratio * max(initial_loss, 1e-300):
                 partial = RunLog(records, epoch_losses + [float(np.mean(step_losses))],
                                  config_echo, time.perf_counter() - start_time)
-                raise DivergenceError(
-                    f"loss {loss_after:.3e} exceeded {cfg.divergence_ratio:.1e} x initial "
-                    f"{initial_loss:.3e} at step {step - 1}",
-                    partial_log=partial,
-                )
+                cause = (f"exceeded {cfg.divergence_ratio:.1e} x initial {initial_loss:.3e}"
+                         if np.isfinite(loss_after) else "is not finite")
+                raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step - 1}",
+                                      partial_log=partial)
         epoch_losses.append(float(np.mean(step_losses)))
     if cfg.epochs == 0:
         epoch_losses.append(batch_loss(net, dataset.inputs, dataset.targets, cfg.loss))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +57,8 @@ class Architecture:
         return sum(a * b for a, b in zip(self.widths[:-1], self.widths[1:]))
 
 
-class WeightCoord(NamedTuple):
-    """Position of one weight: layer index, output unit, input unit."""
-
-    layer: int
-    out_unit: int
-    in_unit: int
-
-
 class ParamIndex:
-    """Bijection between flat parameter indices and weight coordinates.
+    """Layout of the flat parameter vector over the per-layer weight blocks.
 
     Flat order: layers ascending; within layer, output-unit major with
     ascending input index (i.e. column-major traversal of the stored
@@ -83,23 +74,6 @@ class ParamIndex:
 
     def layer_slice(self, layer: int) -> slice:
         return slice(int(self.offsets[layer]), int(self.offsets[layer + 1]))
-
-    def to_coord(self, flat: int) -> WeightCoord:
-        if not 0 <= flat < self.n_params:
-            raise DimensionError(f"flat index {flat} outside [0, {self.n_params})")
-        layer = int(np.searchsorted(self.offsets, flat, side="right")) - 1
-        within = flat - int(self.offsets[layer])
-        fan_in = self.widths[layer]
-        return WeightCoord(layer, within // fan_in, within % fan_in)
-
-    def to_flat(self, coord: WeightCoord) -> int:
-        layer, out_unit, in_unit = coord
-        if not 0 <= layer < len(self.widths) - 1:
-            raise DimensionError(f"layer {layer} outside network")
-        fan_in, fan_out = self.widths[layer], self.widths[layer + 1]
-        if not (0 <= out_unit < fan_out and 0 <= in_unit < fan_in):
-            raise DimensionError(f"unit indices {coord} outside layer shape")
-        return int(self.offsets[layer]) + out_unit * fan_in + in_unit
 
     def flatten(self, weights: list[np.ndarray]) -> np.ndarray:
         return np.concatenate([w.ravel(order="F") for w in weights])
@@ -212,18 +186,27 @@ def batch_forward(net: Network, inputs: np.ndarray) -> BatchTrace:
         raise DimensionError(
             f"input shape {x.shape} does not match input width {net.arch.widths[0]}"
         )
-    relu = net.arch.activation == RELU
+    return BatchTrace(*_forward(net.weights, x, net.arch.activation == RELU))
+
+
+def _forward(weights, x: np.ndarray, relu: bool) -> tuple[list, list | None]:
+    """The layer loop of every forward pass: activations, input first, and
+    the active-unit masks of the hidden layers (None without relu).
+
+    Rows of x are samples.  weights may also be stacked as (T, n_{l-1}, n_l)
+    arrays, one network per leading index, with x of shape (T, rows, n_0).
+    """
     acts = [x]
     masks: list[np.ndarray] | None = [] if relu else None
-    depth = net.depth
-    for l, w in enumerate(net.weights, start=1):
+    depth = len(weights)
+    for l, w in enumerate(weights, start=1):
         z = acts[-1] @ w
         if relu and l < depth:
             mask = z > 0.0
             z = np.where(mask, z, 0.0)
             masks.append(mask.astype(np.float64))
         acts.append(z)
-    return BatchTrace(acts, masks)
+    return acts, masks
 
 
 def interlayer_jacobian(

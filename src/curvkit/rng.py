@@ -86,48 +86,3 @@ class InitDistribution:
         signs = gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
         return signs * scale
 
-
-def sample_weight_matrix(
-    rows: int,
-    cols: int,
-    dist: InitDistribution,
-    rng: "RngStream | np.random.Generator",
-) -> np.ndarray:
-    """Draw a rows x cols matrix of iid weights.
-
-    rows is the input dimension of the layer, so the distribution's fan_in
-    must equal it.
-    """
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if dist.fan_in != rows:
-        raise DimensionError(
-            f"distribution fan_in {dist.fan_in} does not match row count {rows}"
-        )
-    out = dist.sample((rows, cols), rng)
-    if not np.all(np.isfinite(out)):
-        raise DimensionError("sampled weights contain non-finite values")
-    return out
-
-
-def empirical_moment(
-    dist: InitDistribution,
-    order: int,
-    n_samples: int,
-    rng: "RngStream | np.random.Generator",
-) -> float:
-    """Sample mean of w**order over n_samples fresh draws."""
-    if order < 1:
-        raise DimensionError(f"moment order must be >= 1, got {order}")
-    if n_samples < 1:
-        raise DimensionError(f"n_samples must be >= 1, got {n_samples}")
-    gen = as_generator(rng)
-    total = 0.0
-    remaining = n_samples
-    chunk = 1 << 20
-    while remaining > 0:
-        take = min(chunk, remaining)
-        draws = dist.sample(take, gen)
-        total += float(np.sum(draws**order))
-        remaining -= take
-    return total / n_samples

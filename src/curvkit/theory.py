@@ -18,10 +18,12 @@ results are independent of scheduling and worker count.
 
 The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
-once, the weights of a block of trials are stacked, and one batched forward,
-backward and second-order Taylor pass along the gradient yields every
-per-trial column.  The public samplers select columns of that table.  The
-gradient-norm, quadform and positivity ensembles share their seed, hence
+once, the weights of a block of trials are stacked, and the kernels that
+also serve batches and training probes (network._forward,
+diff._output_sensitivities, diff._tangent_forward and
+diff._second_order_forward) run on the stack along the gradient and yield
+every per-trial column.  The public samplers select columns of that table.
+The gradient-norm, quadform and positivity ensembles share their seed, hence
 their networks, so they read one table, kept for the most recent McConfig:
 calling the three samplers in turn (as ``theory thm2`` does) draws each
 network once.
@@ -33,9 +35,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .diff import squared_error
+from .diff import _output_sensitivities, _second_order_forward, _tangent_forward, squared_error
 from .errors import DimensionError, DirectionError
-from .network import IDENTITY, Architecture, init_network
+from .network import IDENTITY, Architecture, _forward, init_network
 from .parallel import map_trial_ranges
 from .rng import AUX_STREAM, GAUSSIAN, InitDistribution, RngStream
 
@@ -138,28 +140,27 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     (T, 1, n_0) input stacks.  g is the output gradient at u, and the output
     and H (the output Hessian) are taken at x = v, or at u when v is None.
 
-    The output sensitivities a_k = W_{k+1} a_{k+1} (a_L = 1) do not depend on
-    the input, so g's layer-k block is the rank-one y^u_{k-1} (x) a_k and
-    ||g||^2 = sum_k ||y^u_{k-1}||^2 ||a_k||^2.  Univariate Taylor propagation
-    along that direction carries the first two derivatives of every layer:
-    y'_k = y'_{k-1} W_k + (y_{k-1} . y^u_{k-1}) a_k and
-    y''_k = y''_{k-1} W_k + 2 (y'_{k-1} . y^u_{k-1}) a_k, so g^T H g = y''_L.
+    The passes are the package's own: network._forward for the activations
+    y^u at u (and y at v), diff._output_sensitivities for the input-free
+    sensitivities a_k, and diff._tangent_forward and
+    diff._second_order_forward for the Taylor pass along g at x, whose
+    second coefficient is g^T H g.  What is particular to the engine is
+    g's rank-one layer blocks y^u_{k-1} (x) a_k: they give
+    ||g||^2 = sum_k ||y^u_{k-1}||^2 ||a_k||^2 and the direction's action
+    along(k, p) = (p . y^u_k) a_{k+1}.
     """
-    depth = len(ws)
-    a = [None] * (depth + 1)
-    a[depth] = np.ones((u.shape[0], 1, 1))
-    for k in range(depth - 1, 0, -1):
-        a[k] = a[k + 1] @ ws[k].transpose(0, 2, 1)
-    yu = u
-    y = u if v is None else v
-    d1 = d2 = np.zeros_like(y)
-    g_sq = 0.0
-    for k, w in enumerate(ws, start=1):
-        g_sq = g_sq + _dot(yu, yu) * _dot(a[k], a[k])
-        d1, d2 = d1 @ w + _dot(y, yu) * a[k], d2 @ w + 2.0 * _dot(d1, yu) * a[k]
-        y = y @ w
-        yu = y if v is None else yu @ w
-    return y[:, 0, 0], g_sq[:, 0, 0], d2[:, 0, 0]
+    acts_u, _ = _forward(ws, u, relu=False)
+    acts = acts_u if v is None else _forward(ws, v, relu=False)[0]
+    a = _output_sensitivities(ws, np.ones((u.shape[0], 1, 1)))
+    g_sq = sum(_dot(acts_u[k - 1], acts_u[k - 1]) * _dot(a[k], a[k]) for k in range(1, len(ws) + 1))
+
+    def along(k, p):
+        return _dot(p, acts_u[k]) * a[k + 1]
+
+    taylor = (ws, acts, None, along)
+    act_dots, _ = _tangent_forward(*taylor)
+    curvature = _second_order_forward(*taylor, act_dots)
+    return acts[-1][:, 0, 0], g_sq[:, 0, 0], curvature[:, 0, 0]
 
 
 def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.ndarray:

@@ -76,6 +76,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "c.ini", bad))
 
+    def test_shipped_configs_load(self):
+        # Every config the README and the benchmark run must pass the bounds.
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted(root.glob("configs/*.ini")) + sorted(root.glob("bench/configs/*.ini"))
+        assert len(paths) >= 6
+        for path in paths:
+            load_config(str(path))
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.ini")
@@ -235,6 +243,19 @@ class TestTrain:
         assert manifest["config"]["train"]["lr"] == 0.05
         assert "timing_s" in manifest
         assert 0.0 < manifest["wall_time_s"] <= manifest["timing_s"] + 1e-3
+
+    def test_non_finite_loss_exit_code(self, tmp_path):
+        # lr = 1e150 overflows the first step to a NaN loss, which no
+        # divergence threshold catches by comparison.
+        text = ("[arch]\nwidths = 8 8 8 1\nactivation = relu\n[train]\nlr = 1e150\n"
+                "epochs = 3\nbatch_size = 5\n[data]\nn_samples = 20\n")
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        result = run_cli("train", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "not finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert (out / "runlog.csv").exists()  # partial log flushed
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", TRAIN.format(lr="1e6"))
@@ -414,6 +435,38 @@ class TestExitCodes:
         result = run_cli("check", "--config", cfg, "--out", str(tmp_path / "o"), cwd=tmp_path)
         assert result.returncode == 2, result.stderr
         assert "at least two weight layers" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (["train"], "[train]\nbatch_size = 0\n", "batch_size"),
+            (["train"], "[train]\nprobe_every = -1\n", "probe_every"),
+            (["train"], "[train]\nepochs = -1\n", "epochs"),
+            (["train"], "[train]\nlr = nan\n", "lr"),
+            (["train"], "[train]\nepochs = 0\n[data]\nn_samples = 0\n", "n_samples"),
+            (["sweep"], "[sweep]\nn_seeds = 0\n", "n_seeds"),
+            (["sweep"], "[sweep]\nwidths = 4 0\n", "widths"),
+            (["sweep"], "[sweep]\nwidths =\n", "widths"),
+            (["theory", "thm2"], "[theory]\nepsilon = 0\n", "epsilon"),
+            (["theory", "thm2"],
+             "[arch]\nwidths = 4 4 1\n[theory]\nepsilon = 1.0\nbeta = 0.1\n", "gradient-norm limit"),
+        ],
+        ids=["batch_size", "probe_every", "epochs", "lr-nan", "n_samples", "n_seeds",
+             "sweep-widths", "sweep-widths-empty", "epsilon", "epsilon-over-beta"],
+    )
+    def test_value_out_of_range_is_exit_2(self, tmp_path, command, text, key):
+        cfg = write_config(tmp_path / "c.ini", text)
+        result = run_cli(*command, "--config", cfg, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "config error" in result.stderr and key in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", [["train"], ["theory", "thm1"]])
+    def test_negative_seed_flag_is_exit_2(self, tmp_path, command):
+        result = run_cli(*command, "--seed", "-1", "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "seed must be >= 0" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_malformed_config_is_exit_2(self, tmp_path):

@@ -149,6 +149,18 @@ class TestSgdTrain:
         assert err.value.partial_log is not None
         assert err.value.partial_log.records
 
+    def test_non_finite_loss_aborts(self):
+        # lr = 1e150 overflows the first step to a NaN loss, which compares
+        # false against any divergence threshold.
+        cfg = small_config(learning_rate=1e150)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite") as err:
+            fresh_run(cfg)
+        assert err.value.partial_log.records
+
+    def test_nan_learning_rate_rejected(self):
+        with pytest.raises(DimensionError):
+            small_config(learning_rate=float("nan"))
+
     def test_batch_size_larger_than_dataset_rejected(self):
         cfg = small_config(batch_size=1000)
         with pytest.raises(DimensionError):

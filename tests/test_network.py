@@ -9,14 +9,13 @@ from curvkit import (
     Network,
     ParamIndex,
     RngStream,
-    WeightCoord,
     forward,
     init_network,
     interlayer_jacobian,
     load_network,
     save_network,
 )
-from curvkit.network import batch_forward
+from curvkit.network import _forward, batch_forward
 
 
 def chain(weights, activation="identity"):
@@ -96,6 +95,24 @@ class TestForward:
             batch_forward(net, np.ones((2, 4)))
         with pytest.raises(DimensionError):
             batch_forward(net, np.float64(1.0))
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_stacked_forward_is_forward_of_each_network(self, activation, rows):
+        # The Monte Carlo engine runs _forward on (T, n_{l-1}, n_l) stacks.
+        nets = [random_net((5, 4, 3, 1), 30 + i, activation) for i in range(4)]
+        xs = RngStream(31, 0).generator().standard_normal((4, rows, 5))
+        stack = [np.stack(layer) for layer in zip(*(n.weights for n in nets))]
+        acts, masks = _forward(stack, xs, activation == "relu")
+        for i, net in enumerate(nets):
+            trace = batch_forward(net, xs[i])
+            for got, want in zip(acts, trace.activations):
+                assert np.array_equal(got[i], want)
+            if activation == "relu":
+                for got, want in zip(masks, trace.masks):
+                    assert np.array_equal(got[i], want)
+            else:
+                assert masks is None and trace.masks is None
 
 
 class TestInit:
@@ -191,16 +208,19 @@ class TestParamIndex:
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, widths):
         index = ParamIndex(tuple(widths))
-        for flat in range(index.n_params):
-            assert index.to_flat(index.to_coord(flat)) == flat
+        vec = np.arange(float(index.n_params))
+        blocks = index.unflatten(vec)
+        assert [b.shape for b in blocks] == list(zip(widths[:-1], widths[1:]))
+        assert np.array_equal(index.flatten(blocks), vec)
 
     def test_ordering_is_output_unit_major(self):
         index = ParamIndex((3, 2, 1))
         # layer 0: out unit 0 gets inputs 0..2, then out unit 1
-        assert index.to_coord(0) == WeightCoord(0, 0, 0)
-        assert index.to_coord(2) == WeightCoord(0, 0, 2)
-        assert index.to_coord(3) == WeightCoord(0, 1, 0)
-        assert index.to_coord(6) == WeightCoord(1, 0, 0)
+        blocks = index.unflatten(np.arange(8.0))
+        assert np.array_equal(blocks[0], [[0, 3], [1, 4], [2, 5]])
+        assert np.array_equal(blocks[1], [[6], [7]])
+        hand = [np.array([[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]), np.array([[6.0], [7.0]])]
+        assert np.array_equal(index.flatten(hand), np.arange(8.0))
 
     def test_flatten_round_trip(self):
         net = random_net((4, 3, 2, 1), 15)
@@ -220,7 +240,7 @@ class TestParamIndex:
         vec = np.arange(8.0)
         blocks = index.unflatten(vec)
         assert all(np.shares_memory(b, vec) for b in blocks)
-        assert blocks[0][2, 1] == vec[index.to_flat(WeightCoord(0, 1, 2))]
+        assert blocks[0][2, 1] == vec[5]  # out unit 1, in unit 2
 
     def test_index_shared_per_widths(self):
         a, b = random_net((4, 3, 1), 18), random_net((4, 3, 1), 19)
@@ -229,10 +249,9 @@ class TestParamIndex:
 
     def test_flat_entry_matches_weight(self):
         net = random_net((3, 2, 1), 16)
-        index = net.param_index
         vec = net.param_vector()
-        coord = WeightCoord(0, 1, 2)
-        assert vec[index.to_flat(coord)] == net.weights[0][2, 1]
+        assert vec[5] == net.weights[0][2, 1]  # layer 0, out unit 1, in unit 2
+        assert vec[6] == net.weights[1][0, 0]
 
 
 class TestArchitecture:

@@ -8,22 +8,25 @@ from curvkit import (
     RADEMACHER,
     RngStream,
     UNIFORM,
-    empirical_moment,
-    sample_weight_matrix,
 )
+
+
+def moment(dist, order, n_samples, stream):
+    """Sample mean of w**order over n_samples fresh draws."""
+    return float(np.mean(dist.sample(n_samples, stream) ** order))
 
 
 def test_same_stream_identical_samples():
     dist = InitDistribution(GAUSSIAN, 1)
-    a = sample_weight_matrix(1, 1, dist, RngStream(7, 3))
-    b = sample_weight_matrix(1, 1, dist, RngStream(7, 3))
+    a = dist.sample((1, 1), RngStream(7, 3))
+    b = dist.sample((1, 1), RngStream(7, 3))
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
     dist = InitDistribution(GAUSSIAN, 8)
-    a = sample_weight_matrix(8, 4, dist, RngStream(7, 0))
-    b = sample_weight_matrix(8, 4, dist, RngStream(7, 1))
+    a = dist.sample((8, 4), RngStream(7, 0))
+    b = dist.sample((8, 4), RngStream(7, 1))
     assert not np.array_equal(a, b)
 
 
@@ -31,21 +34,21 @@ def test_gaussian_column_statistics():
     # 1000 draws at variance 1/1000: the mean is within 4 standard errors of
     # zero and the sample variance within 10% of the target.
     dist = InitDistribution(GAUSSIAN, 1000)
-    w = sample_weight_matrix(1000, 1, dist, RngStream(11, 0))
+    w = dist.sample((1000, 1), RngStream(11, 0))
     assert abs(w.mean()) <= 4.0 / 1000.0
     assert abs(w.var(ddof=1) - 1e-3) <= 1e-4
 
 
 def test_rademacher_two_point_support():
     dist = InitDistribution(RADEMACHER, 4)
-    w = sample_weight_matrix(4, 9, dist, RngStream(5, 0))
+    w = dist.sample((4, 9), RngStream(5, 0))
     assert set(np.unique(w)) <= {-0.5, 0.5}
 
 
 @pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM, RADEMACHER])
 def test_second_moment_matches_fan_in(kind):
     dist = InitDistribution(kind, 16)
-    m2 = empirical_moment(dist, 2, 200_000, RngStream(3, 0))
+    m2 = moment(dist, 2, 200_000, RngStream(3, 0))
     assert abs(m2 - 1.0 / 16.0) <= 0.02 / 16.0
 
 
@@ -54,22 +57,22 @@ def test_second_moment_matches_fan_in(kind):
 def test_odd_moments_vanish(kind, order):
     n = 1_000_000
     dist = InitDistribution(kind, 4)
-    moment = empirical_moment(dist, order, n, RngStream(13, order))
-    even = empirical_moment(dist, 2 * order, 200_000, RngStream(13, 10 + order))
+    odd = moment(dist, order, n, RngStream(13, order))
+    even = moment(dist, 2 * order, 200_000, RngStream(13, 10 + order))
     stderr = np.sqrt(even / n)  # Var(w^t) <= E(w^{2t})
-    assert abs(moment) <= 5.0 * stderr
+    assert abs(odd) <= 5.0 * stderr
 
 
 def test_gaussian_fourth_moment():
     # Unit-variance gaussian: fourth moment 3, checked against the sampler.
     dist = InitDistribution(GAUSSIAN, 1)
-    m4 = empirical_moment(dist, 4, 1_000_000, RngStream(17, 0))
+    m4 = moment(dist, 4, 1_000_000, RngStream(17, 0))
     assert abs(m4 - 3.0) <= 0.02 * 3.0
 
 
 def test_rademacher_second_moment_exact():
     dist = InitDistribution(RADEMACHER, 9)
-    m2 = empirical_moment(dist, 2, 100, RngStream(1, 0))
+    m2 = moment(dist, 2, 100, RngStream(1, 0))
     assert m2 == pytest.approx(1.0 / 9.0, abs=1e-15)
 
 
@@ -82,14 +85,7 @@ def test_matrix_product_associativity():
 
 
 def test_dimension_errors():
-    dist = InitDistribution(GAUSSIAN, 3)
-    with pytest.raises(DimensionError):
-        sample_weight_matrix(0, 2, dist, RngStream(0))
-    with pytest.raises(DimensionError):
-        sample_weight_matrix(2, 3, dist, RngStream(0))  # fan_in mismatch
     with pytest.raises(DimensionError):
         InitDistribution("poisson", 3)
     with pytest.raises(DimensionError):
         InitDistribution(GAUSSIAN, 0)
-    with pytest.raises(DimensionError):
-        empirical_moment(dist, 0, 10, RngStream(0))

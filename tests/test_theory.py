@@ -24,6 +24,7 @@ from curvkit import (
 )
 from curvkit.diff import (
     output_gradient,
+    output_hessian,
     output_hessian_grad_product,
     output_hessian_vp,
     squared_error,
@@ -50,7 +51,9 @@ def _normwise(values, reference) -> float:
 
 def _per_trial_routes(cfg, target_magnitude):
     """Each trial redrawn and evaluated by the per-trial single-input routes:
-    (g.g, case formula, R-op quadform, positivity, R-op cross value)."""
+    (g.g, case formula, R-op quadform, positivity, R-op cross value, closed-form
+    cross value).  The closed form is built from the Jacobian table and runs
+    no Taylor kernel."""
     pair = None
     if cfg.input_mode == "fixed":
         aux = RngStream(cfg.master_seed, AUX_STREAM).generator()
@@ -76,7 +79,9 @@ def _per_trial_routes(cfg, target_magnitude):
             u, v = pair
         g_u = output_gradient(net, u)
         cross = float(g_u @ output_hessian_vp(net, v, g_u))
-        rows.append((g_sq, float(g @ output_hessian_grad_product(net, x)), quad, positivity, cross))
+        dense_cross = float(g_u @ output_hessian(net, v) @ g_u)
+        rows.append((g_sq, float(g @ output_hessian_grad_product(net, x)), quad, positivity, cross,
+                     dense_cross))
     return np.array(rows)
 
 
@@ -95,7 +100,7 @@ class TestBatchedColumnsOracle:
         if len(widths) == 2:
             # No functional part: both quadratic forms vanish exactly.
             assert not np.any(quad) and not np.any(cross)
-            assert not np.any(ref[:, 1]) and not np.any(ref[:, 4])
+            assert not np.any(ref[:, [1, 4, 5]])
             checks = [(g_sq, ref[:, 0]), (positivity, ref[:, 3])]
         else:
             checks = [
@@ -103,7 +108,8 @@ class TestBatchedColumnsOracle:
                 (quad, ref[:, 1]),  # case formula
                 (quad, ref[:, 2]),  # R-op
                 (positivity, ref[:, 3]),
-                (cross, ref[:, 4]),
+                (cross, ref[:, 4]),  # R-op
+                (cross, ref[:, 5]),  # closed form
             ]
         for values, reference in checks:
             assert _normwise(values, reference) <= 1e-12
