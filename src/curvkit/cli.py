@@ -522,9 +522,12 @@ def _parse_gain(raw: str) -> float | None:
     if raw.strip().lower() == "auto":
         return None
     try:
-        return float(raw)
+        gain = float(raw)
     except ValueError as exc:
-        raise ConfigError(f"init gain must be a number or 'auto', got {raw!r}") from exc
+        raise ConfigError(f"[init] gain must be a number or 'auto', got {raw!r}") from exc
+    if not (np.isfinite(gain) and gain > 0.0):
+        raise ConfigError(f"[init] gain must be finite and > 0 or 'auto', got {raw!r}")
+    return gain
 
 
 def _train_config(cfg: dict) -> TrainConfig:

@@ -218,7 +218,8 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     after the step on the same minibatch, which is the quantity the one-step
     expansion describes; at probe steps the exact projections are measured
     at the pre-step weights.  Aborts with the partial log attached if the
-    loss exceeds divergence_ratio times its initial value or is not finite.
+    loss exceeds divergence_ratio times its initial value or is not finite;
+    with epochs = 0, a non-finite initial loss aborts with no log.
     """
     if dataset.inputs.shape[1] != net.arch.widths[0]:
         raise DimensionError("dataset dimension does not match the network input width")
@@ -285,7 +286,10 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
                                       partial_log=partial)
         epoch_losses.append(float(np.mean(step_losses)))
     if cfg.epochs == 0:
-        epoch_losses.append(batch_loss(net, dataset.inputs, dataset.targets, cfg.loss))
+        loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
+        if not np.isfinite(loss):
+            raise DivergenceError(f"initial loss {loss:.3e} is not finite")
+        epoch_losses.append(loss)
     return RunLog(records, epoch_losses, config_echo, time.perf_counter() - start_time)
 
 
@@ -351,9 +355,10 @@ def _sweep_config(base: TrainConfig, width: int, seed_index: int) -> TrainConfig
     return replace(base, architecture=arch, init_seed=base.init_seed + seed_index)
 
 
-def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, start, stop):
+def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, order, start, stop):
+    """The cells order[start:stop]; flat cell f is (widths[f // n_seeds], f % n_seeds)."""
     cells = []
-    for flat in range(start, stop):
+    for flat in order[start:stop]:
         width = widths[flat // n_seeds]
         seed_index = flat % n_seeds
         cfg = _sweep_config(base, width, seed_index)
@@ -378,6 +383,12 @@ def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, start,
             except DirectionError as exc:
                 raise DirectionError(f"width {width}, seed {seed_index}: {exc}") from exc
             full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
+            if not np.all(np.isfinite([full_loss, rec.hessian_proj, rec.functional_proj])):
+                raise DivergenceError(
+                    f"width {width}, seed {seed_index}: initial loss {full_loss:.3e}, "
+                    f"Hess_proj {rec.hessian_proj:.3e}, H_proj {rec.functional_proj:.3e}: "
+                    "the initial result is not finite"
+                )
             cells.append(
                 SweepCell(width, seed_index, abs(rec.functional_proj), rec.hessian_proj,
                           full_loss, float(rec.hessian_proj >= 0.0))
@@ -402,13 +413,18 @@ def width_sweep(
     initialization probe runs.  The verdict states whether the mean absolute
     functional-part projection at initialization strictly decreases with
     width (None when fewer than two widths are swept).
+
+    Cells are handed to the workers widest first, because at a fixed depth a
+    cell's cost grows with its width and the longest tasks first balance the
+    workers best; the report lists them in config order at any worker count.
     """
     widths = tuple(int(w) for w in widths)
     if len(widths) < 1 or n_seeds < 1:
         raise DimensionError("need at least one width and one seed")
-    fn = partial(_sweep_cell_range, base, n_samples, widths, n_seeds)
-    flat_cells = map_trial_ranges(fn, len(widths) * n_seeds, n_workers)
-    cells = list(flat_cells)
+    n_cells = len(widths) * n_seeds
+    order = sorted(range(n_cells), key=lambda flat: -widths[flat // n_seeds])
+    fn = partial(_sweep_cell_range, base, n_samples, widths, n_seeds, order)
+    cells = list(map_trial_ranges(fn, n_cells, n_workers)[np.argsort(order)])
     report = SweepReport(
         cells=cells,
         widths=widths,

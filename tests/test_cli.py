@@ -257,6 +257,15 @@ class TestTrain:
         assert "Traceback" not in result.stderr
         assert (out / "runlog.csv").exists()  # partial log flushed
 
+    def test_non_finite_initial_loss_without_steps_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", HUGE_GAIN)
+        out = tmp_path / "out"
+        result = run_cli("train", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "initial loss nan is not finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "not finite" in json.loads((out / "manifest.json").read_text())["aborted"]
+
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", TRAIN.format(lr="1e6"))
         out = tmp_path / "out"
@@ -311,6 +320,41 @@ class TestSweep:
         assert set(manifest["dataset_seeds"]) == {"6", "12", "18"}
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 6
+
+    def test_non_finite_initial_cell_exit_code(self, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", HUGE_GAIN)
+        out = tmp_path / "out"
+        result = run_cli("sweep", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "initial result is not finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (out / "sweep.csv").exists()
+        assert "not finite" in json.loads((out / "manifest.json").read_text())["aborted"]
+
+
+# Cheap to run should a bad value slip through validation.
+SMALL_INIT_ONLY = "[arch]\nwidths = 4 4 1\n[train]\nepochs = 0\n[sweep]\nwidths = 4\nn_seeds = 1\n"
+
+# A gain of 1e200 overflows the forward pass of the initial net to a NaN loss.
+HUGE_GAIN = """
+[arch]
+widths = 6 6 6 1
+activation = relu
+
+[init]
+gain = 1e200
+
+[train]
+epochs = 0
+batch_size = 5
+
+[data]
+n_samples = 20
+
+[sweep]
+widths = 6 8
+n_seeds = 1
+"""
 
 
 DEAD_RELU_SWEEP = """
@@ -448,12 +492,17 @@ class TestExitCodes:
             (["sweep"], "[sweep]\nn_seeds = 0\n", "n_seeds"),
             (["sweep"], "[sweep]\nwidths = 4 0\n", "widths"),
             (["sweep"], "[sweep]\nwidths =\n", "widths"),
+            (["sweep"], SMALL_INIT_ONLY + "[init]\ngain = nan\n", "gain"),
+            (["sweep"], SMALL_INIT_ONLY + "[init]\ngain = inf\n", "gain"),
+            (["train"], SMALL_INIT_ONLY + "[init]\ngain = -1\n", "gain"),
+            (["train"], SMALL_INIT_ONLY + "[init]\ngain = 0\n", "gain"),
             (["theory", "thm2"], "[theory]\nepsilon = 0\n", "epsilon"),
             (["theory", "thm2"],
              "[arch]\nwidths = 4 4 1\n[theory]\nepsilon = 1.0\nbeta = 0.1\n", "gradient-norm limit"),
         ],
         ids=["batch_size", "probe_every", "epochs", "lr-nan", "n_samples", "n_seeds",
-             "sweep-widths", "sweep-widths-empty", "epsilon", "epsilon-over-beta"],
+             "sweep-widths", "sweep-widths-empty", "gain-nan", "gain-inf", "gain-negative",
+             "gain-zero", "epsilon", "epsilon-over-beta"],
     )
     def test_value_out_of_range_is_exit_2(self, tmp_path, command, text, key):
         cfg = write_config(tmp_path / "c.ini", text)

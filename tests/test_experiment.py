@@ -157,6 +157,11 @@ class TestSgdTrain:
             fresh_run(cfg)
         assert err.value.partial_log.records
 
+    def test_non_finite_initial_loss_without_steps_aborts(self):
+        cfg = small_config(epochs=0, init_gain=1e200)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="initial loss nan is not finite"):
+            fresh_run(cfg)
+
     def test_nan_learning_rate_rejected(self):
         with pytest.raises(DimensionError):
             small_config(learning_rate=float("nan"))
@@ -237,11 +242,19 @@ class TestWidthSweep:
             if f.name not in ("architecture", "init_seed"):
                 assert getattr(cfg, f.name) == getattr(base, f.name), f.name
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("widths", [(6, 12), (12, 6, 9)], ids=["in-order", "out-of-order"])
+    def test_parallel_matches_serial(self, widths):
         base = small_config(epochs=0)
-        serial = width_sweep(base, (6, 12), 2, n_samples=30, n_workers=1)
-        parallel = width_sweep(base, (6, 12), 2, n_samples=30, n_workers=2)
-        assert serial.cells == parallel.cells
+        serial = width_sweep(base, widths, 2, n_samples=30, n_workers=1)
+        assert [(c.width, c.seed_index) for c in serial.cells] == [(w, s) for w in widths for s in range(2)]
+        for n_workers in (2, 3):
+            parallel = width_sweep(base, widths, 2, n_samples=30, n_workers=n_workers)
+            assert serial.cells == parallel.cells
+
+    def test_non_finite_initial_cell_aborts(self):
+        base = small_config(epochs=0, init_gain=1e200)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="initial result is not finite"):
+            width_sweep(base, (6, 8), 1, n_samples=24)
 
     def test_csv(self, tmp_path):
         base = small_config(epochs=0)
