@@ -16,7 +16,6 @@ from .curvature import (
     curvature_projection,
     decompose,
     estimate_curvature,
-    min_eigenvalue,
     psd_check,
 )
 from .diff import (

@@ -27,7 +27,6 @@ from .curvature import decompose, estimate_curvature, psd_check
 from .diff import (
     fd_hessian,
     ggn_vp,
-    half_squared_error,
     hvp,
     output_gradient,
     output_hessian,
@@ -57,6 +56,7 @@ from .tables import write_csv
 from .theory import (
     CurvatureBoundParams,
     McConfig,
+    McSummary,
     backfit_variance_constant,
     mc_bilinear_products,
     mc_cross_sample_stats,
@@ -286,9 +286,7 @@ def _run_checks(net: Network, cfg: dict) -> list[dict]:
         add("ggn-vs-dense", worst_g, 1e-10)
 
         # One-step estimator on the one-parameter quadratic: exact at any rate.
-        quad_net = Network(Architecture((1, 1)), [np.array([[1.5]])])
-        quad_loss = half_squared_error(0.0)
-        w = quad_net.weights[0][0, 0]
+        w = 1.5
         lr = 0.05
         loss_before = 0.5 * w**2
         loss_after = 0.5 * (w - lr * w) ** 2
@@ -298,40 +296,29 @@ def _run_checks(net: Network, cfg: dict) -> list[dict]:
 
 
 def cmd_check(cfg: dict, weights_path: str | None, out_dir: Path) -> int:
-    if cfg["arch"]["activation"] != IDENTITY:
-        print(
-            "error: unsupported activation for the closed-form curvature checks: "
-            f"{cfg['arch']['activation']!r} (identity required)",
-            file=sys.stderr,
-        )
-        return 2
     started = time.perf_counter()
     if weights_path is not None:
-        net = load_network(weights_path, strict=False)
-        if net.arch.activation != IDENTITY:
-            print("error: unsupported activation in weight file (identity required)", file=sys.stderr)
-            return 2
-        if net.arch.widths[-1] != 1:
-            print(
-                f"error: weight file has output width {net.arch.widths[-1]} (a single output unit required)",
-                file=sys.stderr,
-            )
-            return 2
+        try:
+            net = load_network(weights_path, strict=False)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load weight file {weights_path}: {exc}") from exc
     else:
-        arch = Architecture(tuple(cfg["arch"]["widths"]), IDENTITY)
+        arch = Architecture(tuple(cfg["arch"]["widths"]), cfg["arch"]["activation"])
         net = init_network(arch, cfg["init"]["distribution"], RngStream(cfg["init"]["seed"], 0))
+    if net.arch.activation != IDENTITY:
+        raise ConfigError(
+            "unsupported activation for the closed-form curvature checks: "
+            f"{net.arch.activation!r} (identity required)"
+        )
     if net.param_index.n_params > 4000:
-        print("error: check requires a small architecture (P <= 4000)", file=sys.stderr)
-        return 2
+        raise ConfigError("check requires a small architecture (P <= 4000)")
     if net.depth < 2:
         # The output Hessian of one weight layer is exactly 0, so the
         # relative error against the FD oracle has no scale but rounding.
-        print(
-            "error: check requires at least two weight layers "
-            "(the output Hessian of a one-layer net is identically zero)",
-            file=sys.stderr,
+        raise ConfigError(
+            "check requires at least two weight layers "
+            "(the output Hessian of a one-layer net is identically zero)"
         )
-        return 2
     checks = _run_checks(net, cfg)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}")
@@ -366,6 +353,16 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _zero_mean_gate(summary: McSummary, sigmas: float) -> tuple[float, bool, dict]:
+    """Test a zero-mean claim: |mean| / stderr against sigmas.  Prints the
+    verdict line; returns the ratio, the verdict and the manifest keys."""
+    ratio = abs(summary.mean) / summary.stderr if summary.stderr > 0 else (0.0 if summary.mean == 0 else float("inf"))
+    passed = ratio <= sigmas
+    print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {_verdict(passed)}")
+    return ratio, passed, {"mean": summary.mean, "stderr": summary.stderr,
+                           "abs_mean_over_stderr": ratio, "verdict": _verdict(passed)}
+
+
 def _require_constant_shape(widths: tuple[int, ...]) -> None:
     if len(set(widths[:-1])) != 1:
         raise ConfigError("this subcommand expects constant-shape widths (all equal except the output)")
@@ -375,14 +372,12 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
     started = time.perf_counter()
     mc = _mc_config(cfg)
     tcfg = cfg["theory"]
-    sigmas = tcfg["stderr_sigmas"]
     passed = True
 
     if sub == "thm1":
         summary = mc_quadform_stats(mc, threads)
+        ratio, passed, extra = _zero_mean_gate(summary, tcfg["stderr_sigmas"])
         predicted = predicted_variance_scale(mc.widths)
-        ratio = abs(summary.mean) / summary.stderr if summary.stderr > 0 else (0.0 if summary.mean == 0 else float("inf"))
-        passed = ratio <= sigmas
         write_csv(
             out_dir / "thm1.csv",
             "curvkit.theory.thm1.v1",
@@ -394,9 +389,6 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
                 summary.variance / predicted if predicted > 0 else float("nan"), passed,
             ]],
         )
-        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {_verdict(passed)}")
-        extra = {"mean": summary.mean, "stderr": summary.stderr,
-                 "abs_mean_over_stderr": ratio, "verdict": _verdict(passed)}
 
     elif sub == "norm":
         _require_constant_shape(mc.widths)
@@ -481,8 +473,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
 
     elif sub == "cross":
         summary = mc_cross_sample_stats(mc, threads)
-        ratio = abs(summary.mean) / summary.stderr if summary.stderr > 0 else (0.0 if summary.mean == 0 else float("inf"))
-        passed = ratio <= sigmas
+        ratio, passed, extra = _zero_mean_gate(summary, tcfg["stderr_sigmas"])
         second_moment = summary.variance + summary.mean**2
         predicted = predicted_variance_scale(mc.widths)
         write_csv(
@@ -493,9 +484,6 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             [[" ".join(map(str, mc.widths)), summary.n_trials, summary.mean, summary.stderr,
               ratio, second_moment, predicted, passed]],
         )
-        print(f"mean={summary.mean:.4e} stderr={summary.stderr:.4e} -> {_verdict(passed)}")
-        extra = {"mean": summary.mean, "stderr": summary.stderr,
-                 "abs_mean_over_stderr": ratio, "verdict": _verdict(passed)}
 
     else:
         raise ConfigError(f"unknown theory subcommand {sub!r}")

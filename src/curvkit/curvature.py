@@ -124,48 +124,6 @@ class PsdReport:
     min_eigenvalue: float
     threshold: float
     passed: bool
-    method: str
-
-
-def _power_extreme_eigenvalue(matvec, dim: int, rtol: float = 1e-8, maxiter: int = 10_000):
-    """Largest-magnitude eigenvalue of a symmetric operator by power iteration."""
-    gen = np.random.default_rng(0)
-    v = gen.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    eig = np.inf
-    for _ in range(maxiter):
-        w = matvec(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0, v
-        new_eig = float(v @ w)
-        v = w / norm
-        if abs(new_eig - eig) <= rtol * max(abs(new_eig), 1.0):
-            return new_eig, v
-        eig = new_eig
-    return eig, v
-
-
-def min_eigenvalue(matrix_or_op, dim: int | None = None, dense_limit: int = 2000) -> tuple[float, str]:
-    """Smallest eigenvalue of a symmetric matrix or matrix-free operator.
-
-    Dense solve below dense_limit; otherwise power iteration on the shifted
-    operator (extreme eigenvalue first, then the complementary extreme).
-    """
-    if callable(matrix_or_op):
-        if dim is None:
-            raise DimensionError("operator form requires an explicit dimension")
-        matvec = matrix_or_op
-    else:
-        mat = np.asarray(matrix_or_op, dtype=np.float64)
-        dim = mat.shape[0]
-        if dim <= dense_limit:
-            return float(np.linalg.eigvalsh(mat)[0]), "dense"
-        matvec = lambda v: mat @ v
-    extreme, _ = _power_extreme_eigenvalue(matvec, dim)
-    shift = abs(extreme) + 1.0
-    shifted, _ = _power_extreme_eigenvalue(lambda v: shift * v - matvec(v), dim)
-    return float(shift - shifted), "power"
 
 
 def psd_check(matrix: np.ndarray, rel_threshold: float = 1e-8) -> PsdReport:
@@ -177,9 +135,9 @@ def psd_check(matrix: np.ndarray, rel_threshold: float = 1e-8) -> PsdReport:
     asym = float(np.linalg.norm(mat - mat.T))
     if not asym <= 1e-8 * max(scale, 1e-300):
         raise SymmetryError(f"matrix is not symmetric: rel asymmetry {asym / max(scale, 1e-300):.3e}")
-    low, method = min_eigenvalue(mat)
+    low = float(np.linalg.eigvalsh(mat)[0])
     threshold = -rel_threshold * scale
-    return PsdReport(low, threshold, bool(low >= threshold), method)
+    return PsdReport(low, threshold, bool(low >= threshold))
 
 
 def estimate_curvature(loss_t: float, loss_t1: float, grad_norm_sq: float, lr: float) -> float:

@@ -145,11 +145,6 @@ def _as_targets(targets, n: int) -> np.ndarray:
     return t
 
 
-def _require_scalar_output(net: Network) -> None:
-    if net.arch.widths[-1] != 1:
-        raise DimensionError("curvature analysis requires a single output unit")
-
-
 def _require_identity(net: Network, what: str) -> None:
     if net.arch.activation != IDENTITY:
         raise ActivationError(f"{what} is defined for identity-activation (linear) networks only")
@@ -178,7 +173,6 @@ def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
     """Mean loss over the batch."""
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
     trace = batch_forward(net, x)
     return float(np.mean(loss.value(trace.outputs, t)))
 
@@ -200,7 +194,6 @@ def output_gradient(net: Network, x) -> np.ndarray:
     Entry for weight (layer k, out unit i, in unit j) equals the output
     sensitivity to unit i of layer k times activation j of layer k-1.
     """
-    _require_scalar_output(net)
     xb = _as_batch(x)
     if xb.shape[0] != 1:
         raise DimensionError("output_gradient takes a single input")
@@ -217,7 +210,6 @@ def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction) -> tupl
     """Batch-mean loss and its gradient from a single forward pass."""
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
     trace = batch_forward(net, x)
     value = float(np.mean(loss.value(trace.outputs, t)))
     slopes = loss.d1(trace.outputs, t) / x.shape[0]
@@ -227,7 +219,6 @@ def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction) -> tupl
 def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
     """(n_samples, P) matrix of per-sample output gradients."""
     x = _as_batch(inputs)
-    _require_scalar_output(net)
     trace = batch_forward(net, x)
     a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
     blocks = []
@@ -264,7 +255,6 @@ def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
     closed form; a relu network raises.
     """
     _require_identity(net, "the closed-form output Hessian")
-    _require_scalar_output(net)
     index = net.param_index
     if index.n_params > dense_cap:
         raise CapacityError(
@@ -312,7 +302,6 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     exist for that layer.
     """
     _require_identity(net, "the output Hessian-gradient case formula")
-    _require_scalar_output(net)
     index = net.param_index
     trace = forward(net, x)
     y = trace.activations
@@ -437,7 +426,6 @@ def fd_hessian(
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
     index = net.param_index
     P = index.n_params
     if P > dense_cap:
@@ -549,7 +537,6 @@ def gradient_curvatures(
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
     g = np.asarray(g, dtype=np.float64).reshape(-1)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
@@ -574,7 +561,6 @@ def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.nda
     a'_{l-1}^T d_l + a_{l-1}^T d'_l.  relu'' = 0 almost everywhere, so the base
     point's masks carry the whole relu dependence.
     """
-    _require_scalar_output(net)
     dirs = _direction_layers(net, v)
     weights, depth = net.weights, net.depth
     trace = batch_forward(net, x)
@@ -617,7 +603,6 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    _require_scalar_output(net)
     along = _dense_along(_direction_layers(net, v))
     trace = batch_forward(net, x)
     _, z_dot = _tangent_forward(net.weights, trace.activations, trace.masks, along)

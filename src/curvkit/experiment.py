@@ -210,6 +210,8 @@ def _first_batch(dataset: Dataset, cfg: TrainConfig):
     return dataset.inputs[idx], dataset.targets[idx], perm
 
 
+# The finiteness guards decide; numpy's overflow warnings would bury their message.
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     """Train net in place with vanilla SGD, recording curvature per step.
 
@@ -378,11 +380,12 @@ def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, order,
                           log.final_loss, log.positivity_fraction())
             )
         else:
-            try:
-                rec = initial_probe(net, dataset, cfg)
-            except DirectionError as exc:
-                raise DirectionError(f"width {width}, seed {seed_index}: {exc}") from exc
-            full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in sgd_train
+                try:
+                    rec = initial_probe(net, dataset, cfg)
+                except DirectionError as exc:
+                    raise DirectionError(f"width {width}, seed {seed_index}: {exc}") from exc
+                full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
             if not np.all(np.isfinite([full_loss, rec.hessian_proj, rec.functional_proj])):
                 raise DivergenceError(
                     f"width {width}, seed {seed_index}: initial loss {full_loss:.3e}, "

@@ -5,6 +5,9 @@ Conventions used everywhere in the package:
 * Layer l maps activations of width n_{l-1} to width n_l through a weight
   matrix W_l stored with shape (n_{l-1}, n_l): output = W_l^T input.  There
   are no biases.
+* The output width n_L is 1: Architecture refuses any other, so every
+  network, a loaded one included, has the scalar output that the Hessian
+  split into G and H needs.
 * Hidden layers apply relu elementwise when the architecture says so; the
   final (scalar) output layer is always linear, so a twice differentiable
   loss of the output stays twice differentiable in the weights.
@@ -32,7 +35,8 @@ ACTIVATIONS = (IDENTITY, RELU)
 class Architecture:
     """Layer widths plus activation choice.
 
-    widths lists n_0 .. n_L (input width first, output width last).
+    widths lists n_0 .. n_L (input width first, output width last, which
+    must be 1).
     """
 
     widths: tuple[int, ...]
@@ -44,6 +48,8 @@ class Architecture:
             raise DimensionError("architecture needs at least an input and an output width")
         if any(w < 1 for w in self.widths):
             raise DimensionError(f"widths must be positive, got {self.widths}")
+        if self.widths[-1] != 1:
+            raise DimensionError(f"output width {self.widths[-1]}: a single output unit is required")
         if self.activation not in ACTIVATIONS:
             raise ActivationError(f"unknown activation: {self.activation!r}")
 
@@ -260,6 +266,8 @@ def load_network(path, strict: bool = True) -> Network:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "curvkit-network v1":
         raise DimensionError(f"{path}: not a curvkit network file")
+    if len(lines) < 3:
+        raise DimensionError(f"{path}: file ends before the widths line")
     if not lines[1].startswith("activation "):
         raise DimensionError(f"{path}: missing activation line")
     activation = lines[1].split()[1]
@@ -267,6 +275,8 @@ def load_network(path, strict: bool = True) -> Network:
         raise DimensionError(f"{path}: missing widths line")
     widths = tuple(int(tok) for tok in lines[2].split()[1:])
     arch = Architecture(widths, activation)
+    if len(lines) < 3 + arch.depth + sum(widths[:-1]):
+        raise DimensionError(f"{path}: file ends before the last weight row")
     weights = []
     cursor = 3
     for l in range(arch.depth):

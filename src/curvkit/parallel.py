@@ -17,11 +17,13 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
     fn must be picklable and must derive all randomness from the trial
     indices it receives, so results are identical for every worker count.
     The items are split into about four ranges per worker, handed out in
-    index order, and the pool never has more workers than ranges.
+    index order, and the pool never has more workers than ranges.  One
+    worker, or one item (the only count that makes a single range), runs in
+    this process: a pool of one would only fork and pickle.
     """
     if n_items <= 0:
         return np.empty((0,))
-    if n_workers <= 1:
+    if n_workers <= 1 or n_items == 1:
         return np.asarray(fn(0, n_items))
     chunk = -(-n_items // (4 * n_workers))
     ranges = [(fn, s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]

@@ -225,9 +225,7 @@ def predicted_variance_scale(widths) -> float:
     The unknown constant in front is deliberately not modeled; only ratios
     of this quantity across architectures are meaningful.
     """
-    widths = tuple(int(w) for w in widths)
-    if len(widths) < 2 or widths[-1] != 1:
-        raise DimensionError("expected widths ending in a single output unit")
+    widths = Architecture(widths).widths
     return float(sum(widths[1:])) ** 2 / float(widths[0]) ** 3
 
 

@@ -264,6 +264,7 @@ class TestTrain:
         assert result.returncode == 3, result.stderr
         assert "initial loss nan is not finite" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert "not finite" in json.loads((out / "manifest.json").read_text())["aborted"]
 
     def test_divergence_exit_code(self, tmp_path):
@@ -321,13 +322,15 @@ class TestSweep:
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 6
 
-    def test_non_finite_initial_cell_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_initial_cell_exit_code(self, tmp_path, threads):
         cfg = write_config(tmp_path / "c.ini", HUGE_GAIN)
         out = tmp_path / "out"
-        result = run_cli("sweep", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        result = run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", threads, cwd=tmp_path)
         assert result.returncode == 3, result.stderr
         assert "initial result is not finite" in result.stderr
         assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
         assert not (out / "sweep.csv").exists()
         assert "not finite" in json.loads((out / "manifest.json").read_text())["aborted"]
 
@@ -397,6 +400,35 @@ widths = 4
 n_seeds = 1
 """
 
+def _saved_net(widths, activation="identity"):
+    def write(path):
+        save_network(init_network(Architecture(widths, activation), "gaussian", RngStream(1, 0)), path)
+    return write
+
+
+def _truncated_net(path):
+    _saved_net((3, 4, 1))(path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+
+
+# Weight files that check refuses, each with the cause it must name.
+WEIGHT_FILES = [
+    pytest.param(lambda path: None, "No such file", id="missing file"),
+    pytest.param(lambda path: path.write_text("widths 3 4 1\n"), "not a curvkit network file",
+                 id="not a network file"),
+    pytest.param(_truncated_net, "file ends before the last weight row", id="truncated file"),
+    # Architecture refuses to build this net, so the file is written by hand.
+    pytest.param(
+        lambda path: path.write_text(
+            "curvkit-network v1\nactivation identity\nwidths 3 2\nlayer 1 3x2\n1 2\n3 4\n5 6\n"
+        ),
+        "output width 2", id="output width 2",
+    ),
+    pytest.param(_saved_net((3, 4, 1), "relu"), "unsupported activation", id="relu net"),
+    pytest.param(_saved_net((3, 1)), "at least two weight layers", id="one weight layer"),
+]
+
+
 BIG_BATCH = """
 [arch]
 widths = 4 4 4 1
@@ -440,19 +472,17 @@ class TestExitCodes:
         assert "output width must be 1" in result.stderr
         assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize(
-        "widths, cause", [((3, 4, 2), "output width 2"), ((3, 1), "at least two weight layers")]
-    )
-    def test_unsupported_weight_file_is_exit_2(self, tmp_path, widths, cause):
-        net = init_network(Architecture(widths), "gaussian", RngStream(1, 0))
+    @pytest.mark.parametrize("write, cause", WEIGHT_FILES)
+    def test_unsupported_weight_file_is_exit_2(self, tmp_path, write, cause):
         weights_path = tmp_path / "net.txt"
-        save_network(net, weights_path)
+        write(weights_path)
         cfg = write_config(tmp_path / "c.ini", SMALL)
         result = run_cli(
             "check", "--config", cfg, "--weights", str(weights_path),
             "--out", str(tmp_path / "out"), cwd=tmp_path,
         )
         assert result.returncode == 2, result.stderr
+        assert "config error:" in result.stderr
         assert cause in result.stderr
         assert "Traceback" not in result.stderr
 

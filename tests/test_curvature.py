@@ -17,7 +17,6 @@ from curvkit import (
     hvp,
     init_network,
     loss_gradient,
-    min_eigenvalue,
     psd_check,
     squared_error,
 )
@@ -132,15 +131,6 @@ class TestPsdCheck:
     def test_asymmetric_rejected(self):
         with pytest.raises(SymmetryError):
             psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_power_iteration_matches_dense(self):
-        gen = RngStream(80, 0).generator()
-        a = gen.standard_normal((60, 60))
-        sym = (a + a.T) / 2.0
-        dense_min, method_dense = min_eigenvalue(sym)
-        power_min, method_power = min_eigenvalue(sym, dense_limit=10)
-        assert method_dense == "dense" and method_power == "power"
-        assert power_min == pytest.approx(dense_min, rel=1e-6, abs=1e-8)
 
 
 class TestEstimator:

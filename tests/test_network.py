@@ -263,6 +263,10 @@ class TestArchitecture:
         with pytest.raises(Exception):
             Architecture((4, 1), activation="tanh")
 
+    def test_single_output_unit_required(self):
+        with pytest.raises(DimensionError, match="output width 2"):
+            Architecture((3, 4, 2))
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path):
@@ -300,4 +304,12 @@ class TestSerialization:
         path = tmp_path / "junk.txt"
         path.write_text("not a network\n")
         with pytest.raises(DimensionError):
+            load_network(path)
+
+    @pytest.mark.parametrize("keep", [1, 2, 5, 8])
+    def test_truncated_file_is_dimension_error(self, tmp_path, keep):
+        path = tmp_path / "net.txt"
+        save_network(random_net((3, 4, 1), 23), path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        with pytest.raises(DimensionError, match="file ends before"):
             load_network(path)

@@ -61,3 +61,9 @@ class TestMapTrialRanges:
 
     def test_no_items(self):
         assert map_trial_ranges(_range_of_each_item, 0, 2).shape == (0,)
+
+    def test_one_item_opens_no_pool(self, monkeypatch):
+        opened = _inline_pool(monkeypatch)
+        out = map_trial_ranges(_range_of_each_item, 1, 2)
+        assert opened == []
+        assert out.tolist() == map_trial_ranges(_range_of_each_item, 1, 1).tolist() == [[0, 1]]
