@@ -1,8 +1,11 @@
 """Gradients, curvature products, and dense curvature oracles.
 
 Two routes exist for every second-order quantity: exact routes that exploit
-the layered structure, and finite-difference routes that know nothing about
-that structure and serve only as independent oracles.  Every exact
+the layered structure, and finite-difference routes that serve only as
+independent oracles.  The oracles use no derivative formula and share no
+kernel with the exact routes; the dense FD Hessian knows only the flat
+parameter layout and the order in which the layers compose, and uses them
+only to skip the layers a stencil point leaves unperturbed.  Every exact
 Hessian-vector product (hvp, output_hessian_vp, directional_output_curvature)
 is one R-op, valid for identity and relu networks.  The R-op and the
 Gauss-Newton product ggn_vp share one tangent forward pass, which gives the
@@ -31,6 +34,7 @@ from .network import (
     RELU,
     BatchTrace,
     Network,
+    ParamIndex,
     batch_forward,
     forward,
 )
@@ -47,6 +51,9 @@ _QUART_EPS = float(np.finfo(np.float64).eps ** 0.25)
 # Signs of the steps along a and b in the four points of the off-diagonal
 # stencil (f(++) - f(+-) - f(-+) + f(--)) / (4 h_a h_b).
 _FD_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+
+# Perturbed weights plus activations held by one chunk of stencil points.
+_FD_CHUNK_CELLS = 4 * 65536
 
 
 # ---------------------------------------------------------------------------
@@ -371,38 +378,108 @@ def output_hessian_vp(net: Network, x, direction: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _loss_at_param_stack(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction, stack: np.ndarray
-) -> np.ndarray:
-    """Batch loss evaluated at a stack of flat parameter vectors.
+class _PerturbedLoss:
+    """Batch loss at w0 + da e_a + db e_b, one row per stencil point.
 
-    stack has shape (B, P); returns (B,).  Each row is read as the flat
-    parameter vector of its own network and the inputs are pushed through
-    in the column layout (B, n_l, N), every layer one BLAS product.  The
-    inputs are the same for every row, so layer 1 is a single GEMM of all
-    B first-layer blocks against inputs.T; later layers are one batched
-    matmul W_b @ a_b each.
-
-    This loop is the finite-difference oracle's own forward pass.  It
-    shares no code with batch_forward, the tangent passes or the R-op, and
-    it knows nothing of the network beyond the flat layout of each row, so
-    a fault in the exact routes cannot also hide in the oracle.
+    The finite-difference oracle's own forward loop: it shares no code with
+    batch_forward, the tangent passes or the R-op.  Layer l's flat block is
+    W_l^T, (n_l, n_{l-1}) row-major.  A perturbed layer is applied as the
+    perturbed matrix itself; only the layers a point leaves unperturbed are
+    shared between points.
     """
-    index = net.param_index
-    widths = net.arch.widths
-    relu = net.arch.activation == RELU
-    depth = net.depth
-    n_rows = stack.shape[0]
-    # A layer block in flat order is (n_l, n_{l-1}) row-major, i.e. W_l^T.
-    first = stack[:, index.layer_slice(0)].reshape(n_rows * widths[1], widths[0])
-    acts = (first @ inputs.T).reshape(n_rows, widths[1], inputs.shape[0])
-    for l in range(2, depth + 1):
-        if relu:
-            acts = np.maximum(acts, 0.0)
-        w_t = stack[:, index.layer_slice(l - 1)].reshape(n_rows, widths[l], widths[l - 1])
-        acts = w_t @ acts
-    outputs = acts[:, 0, :]
-    return np.mean(loss.value(outputs, targets[None, :]), axis=1)
+
+    def __init__(self, net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction):
+        index = net.param_index
+        self.offsets = index.offsets
+        self.widths = net.arch.widths
+        self.relu = net.arch.activation == RELU
+        self.targets, self.loss = targets, loss
+        w0 = net.param_vector()
+        self.blocks = [
+            w0[index.layer_slice(l)].reshape(self.widths[l + 1], self.widths[l])
+            for l in range(net.depth)
+        ]
+        # The unperturbed input of every layer, column layout (n_{l-1}, N).
+        self.layer_inputs = [np.ascontiguousarray(inputs.T)]
+        for block in self.blocks[:-1]:
+            self.layer_inputs.append(self._act(block @ self.layer_inputs[-1]))
+
+    def _act(self, z: np.ndarray) -> np.ndarray:
+        return np.maximum(z, 0.0, out=z) if self.relu else z
+
+    def __call__(self, a, da, b, db) -> np.ndarray:
+        """Losses of the rows (a[r], da[r], b[r], db[r]), where a[r] <= b[r]
+        are flat coordinates; a = b with db = 0 perturbs one weight."""
+        a, b = np.asarray(a), np.asarray(b)
+        da, db = np.asarray(da, dtype=np.float64), np.asarray(db, dtype=np.float64)
+        la = np.searchsorted(self.offsets, a, side="right") - 1
+        lb = np.searchsorted(self.offsets, b, side="right") - 1
+        key = la * len(self.widths) + lb
+        out = np.empty(a.size)
+        for k in np.unique(key):
+            rows = np.flatnonzero(key == k)
+            out[rows] = self._layer_pair(*divmod(int(k), len(self.widths)),
+                                         a[rows], da[rows], b[rows], db[rows])
+        return out
+
+    def _coords(self, layer: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(output unit, input unit) of flat coordinates c inside layer's block."""
+        return np.divmod(c - self.offsets[layer], self.widths[layer])
+
+    def _layer_pair(self, la, lb, a, da, b, db) -> np.ndarray:
+        """Losses of R points whose perturbed weights lie in layers la <= lb.
+
+        Layer la reads the shared unperturbed input, so its R perturbed
+        blocks are one GEMM, giving the column layout (n, R*N); unperturbed
+        layers are one GEMM each in that layout.  Layer lb (when after la) is
+        the one per-row batched matmul, which turns the layout into rows
+        (R*N, n) for the unperturbed layers after it.
+        """
+        depth = len(self.widths) - 1
+        n_rows, n_samples = a.size, self.layer_inputs[0].shape[1]
+        rows = np.arange(n_rows)
+        w = np.repeat(self.blocks[la][:, None, :], n_rows, axis=1)  # (n_la, R, n_{la-1})
+        i, j = self._coords(la, a)
+        w[i, rows, j] += da
+        if lb == la:
+            i, j = self._coords(la, b)
+            w[i, rows, j] += db
+        z = (w.reshape(-1, self.widths[la]) @ self.layer_inputs[la]).reshape(-1, n_rows * n_samples)
+        for l in range(la + 1, lb if lb > la else depth):
+            z = self.blocks[l] @ self._act(z)
+        if lb > la:
+            v = np.repeat(self.blocks[lb].T[None], n_rows, axis=0)  # (R, n_{lb-1}, n_lb)
+            i, j = self._coords(lb, b)
+            v[rows, j, i] += db
+            a_rows = self._act(z).reshape(-1, n_rows, n_samples).transpose(1, 2, 0)
+            z = np.matmul(a_rows, v).reshape(n_rows * n_samples, -1)
+            for l in range(lb + 1, depth):
+                z = self._act(z) @ self.blocks[l].T
+        outputs = z.reshape(n_rows, n_samples)
+        return np.mean(self.loss.value(outputs, self.targets[None, :]), axis=1)
+
+
+def _fd_pair_chunks(index: ParamIndex, n_samples: int):
+    """The coordinate pairs (a, b) of the FD stencil in chunks.
+
+    Layer by layer la, yields first the diagonal of la (a == b), then the
+    pairs a < b inside la, then those with b in each later layer lb, so every
+    chunk perturbs one layer pair.  A chunk of four stencil points per pair
+    holds about _FD_CHUNK_CELLS cells of perturbed weights and activations.
+    """
+    offsets, sizes = index.offsets, np.diff(index.offsets)
+    act_cells = n_samples * max(index.widths)
+    for la in range(sizes.size):
+        layer = np.arange(offsets[la], offsets[la + 1])
+        pair_a, pair_b = np.triu_indices(sizes[la], 1)
+        groups = [(0, layer, layer), (0, pair_a + offsets[la], pair_b + offsets[la])]
+        for lb in range(la + 1, sizes.size):
+            pair_a, pair_b = np.divmod(np.arange(sizes[la] * sizes[lb]), sizes[lb])
+            groups.append((sizes[lb], pair_a + offsets[la], pair_b + offsets[lb]))
+        for lb_cells, pair_a, pair_b in groups:
+            chunk = max(1, _FD_CHUNK_CELLS // (4 * (sizes[la] + lb_cells + act_cells)))
+            for start in range(0, pair_a.size, chunk):
+                yield pair_a[start : start + chunk], pair_b[start : start + chunk]
 
 
 def fd_hessian(
@@ -417,12 +494,13 @@ def fd_hessian(
 
     Per-coordinate step h_a = eps**0.25 * (1 + |w_a|) unless an explicit
     step is given; diagonal entries use the three-point stencil, off-diagonal
-    entries the four-point stencil, and the result is symmetrized.
-    Deliberately ignorant of network structure: this is the oracle the
-    closed-form routes are judged against.  It only ever evaluates the batch
-    loss at stacks of flat parameter vectors (_loss_at_param_stack, whose
-    forward loop is its own), so it shares no kernel with the routes it
-    judges.
+    entries the four-point stencil, and the result is symmetrized: 1 + 2P +
+    2P(P - 1) loss evaluations.  This is the oracle the exact routes are
+    judged against, so it uses no derivative formula and shares no kernel
+    with them: every value is a batch loss at w0 moved along one or two
+    coordinates, from _PerturbedLoss's own forward loop.  All it knows of
+    the network is the flat layout and the order in which the layers
+    compose, and it uses that only to skip the layers a point leaves alone.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
@@ -432,36 +510,25 @@ def fd_hessian(
         raise CapacityError(f"P = {P} exceeds dense cap {dense_cap}")
     w0 = net.param_vector()
     h = np.full(P, step) if step is not None else _QUART_EPS * (1.0 + np.abs(w0))
+    losses = _PerturbedLoss(net, x, t, loss)
 
-    def eval_stack(stack):
-        return _loss_at_param_stack(net, x, t, loss, stack)
+    def stencil(a, b, signs):
+        # Row (i, s) moves pair i by signs[s]; returns (pairs, len(signs)).
+        a_rows, b_rows = np.repeat(a, len(signs)), np.repeat(b, len(signs))
+        sign_a, sign_b = np.tile(np.transpose(signs), a.size)
+        return losses(a_rows, sign_a * h[a_rows], b_rows, sign_b * h[b_rows]).reshape(a.size, -1)
 
-    f0 = float(eval_stack(w0[None, :])[0])
+    f0 = float(losses([0], [0.0], [0], [0.0])[0])
     hess = np.zeros((P, P))
-
-    # Diagonal: f(w + h e_a) and f(w - h e_a).
-    diag_stack = np.repeat(w0[None, :], 2 * P, axis=0)
-    diag_stack[np.arange(P), np.arange(P)] += h
-    diag_stack[P + np.arange(P), np.arange(P)] -= h
-    f_diag = eval_stack(diag_stack)
-    hess[np.arange(P), np.arange(P)] = (f_diag[:P] - 2.0 * f0 + f_diag[P:]) / h**2
-
-    # Off-diagonal four-point stencils, evaluated in chunks of pairs a < b.
-    # Row 4i + s of a chunk's stack perturbs pair i by the signs _FD_SIGNS[s].
-    pair_a, pair_b = np.triu_indices(P, 1)
-    chunk = max(1, 65536 // max(P, 1))
-    for start in range(0, pair_a.size, chunk):
-        a, b = pair_a[start : start + chunk], pair_b[start : start + chunk]
-        m = a.size
-        stack = np.repeat(w0[None, :], 4 * m, axis=0)
-        for s, (sign_a, sign_b) in enumerate(_FD_SIGNS):
-            rows = np.arange(s, 4 * m, 4)
-            stack[rows, a] += sign_a * h[a]
-            stack[rows, b] += sign_b * h[b]
-        vals = eval_stack(stack).reshape(m, 4)
-        v = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h[a] * h[b])
-        hess[a, b] = v
-        hess[b, a] = v
+    for a, b in _fd_pair_chunks(index, x.shape[0]):
+        if a[0] == b[0]:  # diagonal: f(w + h e_a) and f(w - h e_a)
+            vals = stencil(a, b, ((1.0, 0.0), (-1.0, 0.0)))
+            hess[a, a] = (vals[:, 0] - 2.0 * f0 + vals[:, 1]) / h[a] ** 2
+        else:
+            vals = stencil(a, b, _FD_SIGNS)
+            v = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h[a] * h[b])
+            hess[a, b] = v
+            hess[b, a] = v
     return 0.5 * (hess + hess.T)
 
 

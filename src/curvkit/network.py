@@ -285,14 +285,16 @@ def load_network(path, strict: bool = True) -> Network:
         if not header.startswith(f"layer {l + 1} "):
             raise DimensionError(f"{path}: malformed layer header {header!r}")
         cursor += 1
-        block = np.array(
-            [[float(tok) for tok in lines[cursor + r].split()] for r in range(rows)],
-            dtype=np.float64,
-        )
-        if block.shape != (rows, cols):
-            raise DimensionError(f"{path}: layer {l + 1} block has shape {block.shape}")
+        block = []
+        for r in range(rows):
+            row = [float(tok) for tok in lines[cursor + r].split()]
+            if len(row) != cols:
+                raise DimensionError(
+                    f"{path}: layer {l + 1} row {r + 1} has {len(row)} values, expected {cols}"
+                )
+            block.append(row)
         cursor += rows
-        weights.append(block)
+        weights.append(np.array(block, dtype=np.float64))
     net = Network(arch, weights)
     if strict and not net.all_finite():
         raise DimensionError(f"{path}: network contains non-finite weights")

@@ -417,6 +417,13 @@ WEIGHT_FILES = [
     pytest.param(lambda path: path.write_text("widths 3 4 1\n"), "not a curvkit network file",
                  id="not a network file"),
     pytest.param(_truncated_net, "file ends before the last weight row", id="truncated file"),
+    pytest.param(
+        lambda path: path.write_text(
+            "curvkit-network v1\nactivation identity\nwidths 2 2 1\n"
+            "layer 1 2x2\n1 2\n3\nlayer 2 2x1\n5\n6\n"
+        ),
+        "layer 1 row 2 has 1 values, expected 2", id="ragged row",
+    ),
     # Architecture refuses to build this net, so the file is written by hand.
     pytest.param(
         lambda path: path.write_text(
@@ -547,6 +554,14 @@ class TestExitCodes:
         assert result.returncode == 2, result.stderr
         assert "seed must be >= 0" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_exit_2(self, tmp_path, threads):
+        result = run_cli("theory", "thm1", "--threads", threads, "--out", str(tmp_path / "o"), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"--threads must be >= 1, got {threads}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_config_is_exit_2(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", "[nope]\nkey = 1\n")

@@ -28,7 +28,7 @@ from curvkit import (
     squared_error,
 )
 from curvkit.curvature import curvature_projection
-from curvkit.diff import _QUART_EPS, _loss_at_param_stack
+from curvkit.diff import _QUART_EPS, _PerturbedLoss, _fd_pair_chunks
 
 
 def chain(weights, activation="identity"):
@@ -291,66 +291,92 @@ class TestFdHessian:
             fd_hessian(net, np.ones((1, 30)), [0.0], squared_error(), dense_cap=100)
 
 
-def loop_fd_hessian(net, xs, ts, loss):
-    """fd_hessian as written before its stencil was vectorized: one Python
-    loop over the pairs a < b builds the stack, another reads the values."""
+def loop_fd_hessian(net, xs, ts, loss, step=None):
+    """fd_hessian with its stencil written out: for every chunk of pairs,
+    one Python loop builds the points and another reads the entries."""
     P = net.param_index.n_params
     w0 = net.param_vector()
-    h = _QUART_EPS * (1.0 + np.abs(w0))
+    h = np.full(P, step) if step is not None else _QUART_EPS * (1.0 + np.abs(w0))
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    t = np.asarray(ts, dtype=np.float64)
-
-    def eval_stack(stack):
-        return _loss_at_param_stack(net, x, t, loss, stack)
-
-    f0 = float(eval_stack(w0[None, :])[0])
+    losses = _PerturbedLoss(net, x, np.asarray(ts, dtype=np.float64), loss)
+    f0 = losses([0], [0.0], [0], [0.0])[0]
     hess = np.zeros((P, P))
-    diag_stack = np.repeat(w0[None, :], 2 * P, axis=0)
-    diag_stack[np.arange(P), np.arange(P)] += h
-    diag_stack[P + np.arange(P), np.arange(P)] -= h
-    f_diag = eval_stack(diag_stack)
-    hess[np.arange(P), np.arange(P)] = (f_diag[:P] - 2.0 * f0 + f_diag[P:]) / h**2
-    pairs = [(a, b) for a in range(P) for b in range(a + 1, P)]
-    chunk = max(1, 65536 // max(P, 1))
-    for start in range(0, len(pairs), chunk):
-        block = pairs[start : start + chunk]
-        m = len(block)
-        stack = np.repeat(w0[None, :], 4 * m, axis=0)
-        for i, (a, b) in enumerate(block):
-            stack[4 * i + 0, a] += h[a]
-            stack[4 * i + 0, b] += h[b]
-            stack[4 * i + 1, a] += h[a]
-            stack[4 * i + 1, b] -= h[b]
-            stack[4 * i + 2, a] -= h[a]
-            stack[4 * i + 2, b] += h[b]
-            stack[4 * i + 3, a] -= h[a]
-            stack[4 * i + 3, b] -= h[b]
-        vals = eval_stack(stack).reshape(m, 4)
-        for i, (a, b) in enumerate(block):
-            v = (vals[i, 0] - vals[i, 1] - vals[i, 2] + vals[i, 3]) / (4.0 * h[a] * h[b])
-            hess[a, b] = v
-            hess[b, a] = v
+    for chunk_a, chunk_b in _fd_pair_chunks(net.param_index, x.shape[0]):
+        points = []
+        for a, b in zip(chunk_a, chunk_b):
+            if a == b:
+                points += [(a, h[a], a, 0.0), (a, -h[a], a, 0.0)]
+            else:
+                points += [(a, h[a], b, h[b]), (a, h[a], b, -h[b]),
+                           (a, -h[a], b, h[b]), (a, -h[a], b, -h[b])]
+        vals = losses(*(np.array(column) for column in zip(*points)))
+        k = 0
+        for a, b in zip(chunk_a, chunk_b):
+            if a == b:
+                hess[a, a] = (vals[k] - 2.0 * f0 + vals[k + 1]) / (h[a] * h[a])
+                k += 2
+            else:
+                v = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4.0 * h[a] * h[b])
+                hess[a, b] = v
+                hess[b, a] = v
+                k += 4
     return 0.5 * (hess + hess.T)
 
 
+def layer_of(index, coords):
+    return np.searchsorted(index.offsets, coords, side="right") - 1
+
+
 class TestFdHessianStencil:
-    # P = 59 (one chunk of pairs) and P = 114 (twelve chunks).
+    # P = 59 (one chunk per layer pair), P = 114 and P = 136 (layer pairs
+    # that span several chunks).
     @pytest.mark.parametrize(
-        "widths, activation", [((4, 6, 5, 1), "identity"), ((6, 6, 6, 6, 1), "relu")]
+        "widths, activation",
+        [((4, 6, 5, 1), "identity"), ((6, 6, 6, 6, 1), "relu"), ((8, 8, 8, 1), "identity")],
     )
-    def test_bitwise_equal_to_loop_stencil(self, widths, activation):
+    @pytest.mark.parametrize("step", [None, 1e-3])
+    def test_bitwise_equal_to_loop_stencil(self, widths, activation, step):
         net = random_net(widths, 90, activation)
         gen = RngStream(91, 0).generator()
         xs = gen.standard_normal((4, widths[0]))
         ts = gen.integers(0, 2, 4) * 2.0 - 1.0
-        got = fd_hessian(net, xs, ts, squared_error())
-        assert np.array_equal(got, loop_fd_hessian(net, xs, ts, squared_error()))
+        got = fd_hessian(net, xs, ts, squared_error(), step=step)
+        assert np.array_equal(got, loop_fd_hessian(net, xs, ts, squared_error(), step))
+
+    @pytest.mark.parametrize("widths", [(8, 8, 8, 1), (3, 1), (2, 1, 3, 1)])
+    def test_chunks_cover_each_pair_once_within_one_layer_pair(self, widths):
+        index = random_net(widths, 92).param_index
+        chunks = list(_fd_pair_chunks(index, 4))
+        pairs = sorted(zip(*(np.concatenate(side).tolist() for side in zip(*chunks))))
+        assert pairs == sorted(zip(*np.triu_indices(index.n_params)))
+        for a, b in chunks:
+            assert np.unique(layer_of(index, a)).size == 1
+            assert np.unique(layer_of(index, b)).size == 1
+            assert np.all(a == b) or np.all(a < b)
+        if widths == (8, 8, 8, 1):  # some layer pair spans several chunks
+            off_diagonal = [(layer_of(index, a[0]), layer_of(index, b[0])) for a, b in chunks if a[0] != b[0]]
+            assert len(off_diagonal) > len(set(off_diagonal))
+
+    @pytest.mark.parametrize("widths, n_samples", [((4, 6, 5, 1), 1), ((8, 8, 8, 1), 4)])
+    def test_loss_evaluation_count(self, widths, n_samples, monkeypatch):
+        rows = []
+        evaluate = _PerturbedLoss.__call__
+
+        def counting(self, a, da, b, db):
+            rows.append(len(a))
+            return evaluate(self, a, da, b, db)
+
+        monkeypatch.setattr(_PerturbedLoss, "__call__", counting)
+        net = random_net(widths, 93)
+        fd_hessian(net, np.ones((n_samples, widths[0])), 0.5, squared_error())
+        P = net.param_index.n_params
+        assert sum(rows) == 1 + 2 * P + 2 * P * (P - 1)
 
 
-class TestLossAtParamStack:
-    # Non-square layers, so a transposed layer block changes the loss; a
-    # one-layer net, whose only layer is the output layer.
-    @pytest.mark.parametrize("widths", [(5, 3, 7, 1), (4, 6, 5, 1), (3, 1)])
+class TestPerturbedLoss:
+    # Non-square layers, so a transposed block changes the loss; a width-1
+    # hidden layer; a one-layer net, whose only layer is the output layer.
+    @pytest.mark.parametrize("widths", [(5, 3, 7, 1), (4, 6, 1, 5, 1), (3, 1)])
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     @pytest.mark.parametrize("n_samples", [1, 5])
     def test_each_row_is_the_batch_loss_of_its_network(self, widths, activation, n_samples):
@@ -358,12 +384,25 @@ class TestLossAtParamStack:
         gen = RngStream(96, 0).generator()
         xs = gen.standard_normal((n_samples, widths[0]))
         ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
-        stack = gen.standard_normal((7, net.param_index.n_params))
-        got = _loss_at_param_stack(net, xs, ts, squared_error(), stack)
-        want = np.array(
-            [batch_loss(net.with_params(row), xs, ts, squared_error()) for row in stack]
-        )
-        assert got.shape == (7,)
+        index = net.param_index
+        # Every pair a <= b of the first and last weight of each layer and six
+        # random weights: pairs in the same layer, in adjacent layers and in
+        # distant ones, the first and the output layer included, in one call.
+        ends = np.concatenate([index.offsets[:-1], index.offsets[1:] - 1])
+        coords = np.union1d(ends, gen.integers(0, index.n_params, 6))
+        i, j = np.triu_indices(coords.size)
+        a, b = coords[i], coords[j]
+        assert {(0, net.depth - 1), (0, 0)} <= set(zip(layer_of(index, a), layer_of(index, b)))
+        da, db = gen.standard_normal((2, a.size))
+        got = _PerturbedLoss(net, xs, ts, squared_error())(a, da, b, db)
+        want = []
+        for row in range(a.size):
+            w = net.param_vector()
+            w[a[row]] += da[row]
+            w[b[row]] += db[row]
+            want.append(batch_loss(net.with_params(w), xs, ts, squared_error()))
+        want = np.array(want)
+        assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
