@@ -22,7 +22,6 @@ from .diff import (
     DENSE_CAP,
     LossFunction,
     batch_loss,
-    directional_output_curvature,
     fd_hessian,
     ggn_vp,
     gradient_curvatures,

@@ -301,22 +301,25 @@ def cmd_check(cfg: dict, weights_path: str | None, out_dir: Path) -> int:
         try:
             net = load_network(weights_path, strict=False)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load weight file {weights_path}: {exc}") from exc
+            raise ConfigError(f"cannot load weight file: {exc}") from exc
     else:
         arch = Architecture(tuple(cfg["arch"]["widths"]), cfg["arch"]["activation"])
         net = init_network(arch, cfg["init"]["distribution"], RngStream(cfg["init"]["seed"], 0))
+    # load_network's messages start with the path; so do the refusals of a loaded net.
+    source = "" if weights_path is None else f"{weights_path}: "
     if net.arch.activation != IDENTITY:
         raise ConfigError(
-            "unsupported activation for the closed-form curvature checks: "
-            f"{net.arch.activation!r} (identity required)"
+            f"{source}unsupported activation {net.arch.activation!r} (identity required): "
+            "the output Hessian-gradient case formula holds for linear networks only, "
+            "and the FD oracle's stencil can cross a relu kink"
         )
     if net.param_index.n_params > 4000:
-        raise ConfigError("check requires a small architecture (P <= 4000)")
+        raise ConfigError(f"{source}check requires a small architecture (P <= 4000)")
     if net.depth < 2:
         # The output Hessian of one weight layer is exactly 0, so the
         # relative error against the FD oracle has no scale but rounding.
         raise ConfigError(
-            "check requires at least two weight layers "
+            f"{source}check requires at least two weight layers "
             "(the output Hessian of a one-layer net is identically zero)"
         )
     checks = _run_checks(net, cfg)

@@ -18,12 +18,11 @@ from .diff import (
     _as_batch,
     _as_targets,
     batch_forward,
-    hvp,
     output_hessian,
     per_sample_output_gradients,
 )
 from .errors import CapacityError, DimensionError, DirectionError, SymmetryError
-from .network import IDENTITY, Network
+from .network import Network
 
 # Unused here, but bench/spans.py wraps this name in this module.
 from .diff import fd_hessian  # noqa: F401
@@ -60,47 +59,32 @@ class CurvatureRecord:
     functional_proj: float | None = None
 
 
-def decompose(
-    net: Network,
-    inputs,
-    targets,
-    loss: LossFunction,
-    dense_cap: int = DENSE_CAP,
-) -> HessianDecomposition:
+def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecomposition:
     """Dense decomposition of the batch-loss Hessian.
 
-    Identity activation assembles the slope-weighted part from the
-    closed-form per-sample output Hessians.  For relu networks the total is
-    built column by column from exact Hessian-vector products (P R-ops, the
-    Hessian of the smooth piece the batch lies in), and the slope part is
-    the difference.
+    The Gauss-Newton part is the mean of L''(y_s) g_s g_s^T over the
+    per-sample output gradients g_s, and the functional part the mean of
+    L'(y_s) times the closed-form output Hessian at x_s; for a relu network
+    that is the Hessian of the linear piece each input lies in.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     index = net.param_index
-    if index.n_params > dense_cap:
-        raise CapacityError(f"P = {index.n_params} exceeds dense cap {dense_cap}")
+    if index.n_params > DENSE_CAP:
+        raise CapacityError(f"P = {index.n_params} exceeds dense cap {DENSE_CAP}")
     n = x.shape[0]
     trace = batch_forward(net, x)
     outputs = trace.outputs
     grads = per_sample_output_gradients(net, x)
     curv = loss.d2(outputs, t)
     gauss_newton = (grads * curv[:, None]).T @ grads / n
-    if net.arch.activation == IDENTITY:
-        slopes = loss.d1(outputs, t)
-        functional = np.zeros_like(gauss_newton)
-        for s in range(n):
-            functional += slopes[s] * output_hessian(net, x[s], dense_cap)
-        functional /= n
-        hessian = gauss_newton + functional
-    else:
-        total = np.column_stack([hvp(net, x, t, loss, e) for e in np.eye(index.n_params)])
-        functional = total - gauss_newton
-        # Re-sum so the decomposition identity holds bit-exactly.
-        hessian = gauss_newton + functional
-    return HessianDecomposition(
-        gauss_newton, functional, hessian, meta={"n_samples": n, "activation": net.arch.activation}
-    )
+    slopes = loss.d1(outputs, t)
+    functional = np.zeros_like(gauss_newton)
+    for s in range(n):
+        functional += slopes[s] * output_hessian(net, x[s])
+    functional /= n
+    meta = {"n_samples": n, "activation": net.arch.activation}
+    return HessianDecomposition(gauss_newton, functional, gauss_newton + functional, meta)
 
 
 def curvature_projection(operator, g: np.ndarray) -> float:

@@ -6,16 +6,18 @@ independent oracles.  The oracles use no derivative formula and share no
 kernel with the exact routes; the dense FD Hessian knows only the flat
 parameter layout and the order in which the layers compose, and uses them
 only to skip the layers a stencil point leaves unperturbed.  Every exact
-Hessian-vector product (hvp, output_hessian_vp, directional_output_curvature)
-is one R-op, valid for identity and relu networks.  The R-op and the
-Gauss-Newton product ggn_vp share one tangent forward pass, which gives the
-Jacobian-vector product of every layer along a weight direction.  Along the
-loss gradient, gradient_curvatures adds the second-order Taylor coefficient
-to that pass and reads both parts of the curvature off the output, with no
-backward pass.  Both passes take the direction as its action v -> v D_l on
-each layer, so the Monte Carlo engine in theory runs them on stacks of
-networks.  The dense output Hessian and its case-formula product with the
-gradient are closed forms for linear networks only.
+Hessian-vector product (hvp, output_hessian_vp) is one R-op, valid for
+identity and relu networks.  The R-op and the Gauss-Newton product ggn_vp
+share one tangent forward pass, which gives the Jacobian-vector product of
+every layer along a weight direction.  Along the loss gradient,
+gradient_curvatures adds the second-order Taylor coefficient to that pass
+and reads both parts of the curvature off the output, with no backward
+pass.  Both passes take the direction as its action v -> v D_l on each
+layer, so the Monte Carlo engine in theory runs them on stacks of networks.
+The dense output Hessian is a closed form for linear networks that shares
+no kernel with the R-op; it covers a relu network on the linear piece its
+input lies in.  Its case-formula product with the gradient is for linear
+networks only.
 """
 from __future__ import annotations
 
@@ -32,11 +34,13 @@ from .errors import (
 from .network import (
     IDENTITY,
     RELU,
+    Architecture,
     BatchTrace,
     Network,
     ParamIndex,
     batch_forward,
     forward,
+    interlayer_jacobian,
 )
 
 # Dense P x P storage above this parameter count is refused; matrix-free
@@ -152,11 +156,6 @@ def _as_targets(targets, n: int) -> np.ndarray:
     return t
 
 
-def _require_identity(net: Network, what: str) -> None:
-    if net.arch.activation != IDENTITY:
-        raise ActivationError(f"{what} is defined for identity-activation (linear) networks only")
-
-
 def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
     """a[k] = d(output)/d(layer-k activations) in row layout, for k = 1 .. L.
 
@@ -236,38 +235,32 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form output Hessian (linear networks)
+# Closed-form output Hessian
 # ---------------------------------------------------------------------------
 
 
-def _jacobian_table(net: Network) -> dict[tuple[int, int], np.ndarray]:
-    """All interlayer Jacobians J[(l, k)] for 0 <= l < k <= L - 1."""
-    depth = net.depth
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for l in range(depth):
-        for k in range(l + 1, depth):
-            if k == l + 1:
-                table[(l, k)] = net.weights[k - 1]
-            else:
-                table[(l, k)] = table[(l, k - 1)] @ net.weights[k - 1]
-    return table
-
-
-def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def output_hessian(net: Network, x) -> np.ndarray:
     """Dense P x P Hessian of the scalar output w.r.t. all weights.
 
-    Assembled block by block from the five closed-form cases for a pair of
-    layers (row layer k, column layer l): l < k-1, l = k-1, l = k (zero),
-    l = k+1, and l > k+1.  Only identity-activation networks admit this
-    closed form; a relu network raises.
+    Assembled block by block from the five closed-form cases of a linear
+    network for a pair of layers (row layer k, column layer l): l < k-1,
+    l = k-1, l = k (zero), l = k+1, and l > k+1.  At x, a relu network is
+    the linear network with masked weights W_k diag(m_k), m_k the hidden
+    layers' relu masks and m_L = 1.  The masking is linear in the weights,
+    so the relu Hessian is D H_lin D, where D holds for every weight the
+    mask of the unit it feeds: the Hessian of the linear piece x lies in.
     """
-    _require_identity(net, "the closed-form output Hessian")
     index = net.param_index
-    if index.n_params > dense_cap:
+    if index.n_params > DENSE_CAP:
         raise CapacityError(
-            f"P = {index.n_params} exceeds dense cap {dense_cap}; use matrix-free products"
+            f"P = {index.n_params} exceeds dense cap {DENSE_CAP}; use matrix-free products"
         )
     trace = forward(net, x)
+    if trace.masks is not None:
+        masks = [*trace.masks, np.ones(1)]
+        linear = Network(Architecture(net.arch.widths), [w * m for w, m in zip(net.weights, masks)])
+        d = index.flatten([np.broadcast_to(m, w.shape) for w, m in zip(net.weights, masks)])
+        return d[:, None] * output_hessian(linear, x) * d
     y = trace.activations
     depth = net.depth
     P = index.n_params
@@ -275,7 +268,6 @@ def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
     if depth == 1:
         return hess  # output linear in the only weight layer
     a = _output_sensitivities(net.weights, np.ones(1))
-    jac = _jacobian_table(net)
     widths = net.arch.widths
     for k in range(1, depth + 1):
         rows = index.layer_slice(k - 1)
@@ -288,11 +280,13 @@ def output_hessian(net: Network, x, dense_cap: int = DENSE_CAP) -> np.ndarray:
             if l == k - 1:
                 block = np.einsum("i,ju,v->ijuv", a[k], np.eye(n_k1), y[l - 1])
             elif l < k - 1:
-                block = np.einsum("i,uj,v->ijuv", a[k], jac[(l, k - 1)], y[l - 1])
+                jac = interlayer_jacobian(net, trace, l, k - 1)
+                block = np.einsum("i,uj,v->ijuv", a[k], jac, y[l - 1])
             elif l == k + 1:
                 block = np.einsum("u,j,vi->ijuv", a[l], y[k - 1], np.eye(n_k))
             else:  # l > k + 1
-                block = np.einsum("u,iv,j->ijuv", a[l], jac[(k, l - 1)], y[k - 1])
+                jac = interlayer_jacobian(net, trace, k, l - 1)
+                block = np.einsum("u,iv,j->ijuv", a[l], jac, y[k - 1])
             hess[rows, cols] = block.reshape(n_k * n_k1, n_l * n_l1)
     return hess
 
@@ -308,7 +302,11 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     middle, next-to-last, last) each keep exactly the contributions that
     exist for that layer.
     """
-    _require_identity(net, "the output Hessian-gradient case formula")
+    if net.arch.activation != IDENTITY:
+        raise ActivationError(
+            "the output Hessian-gradient case formula is defined for identity-activation "
+            "(linear) networks only"
+        )
     index = net.param_index
     trace = forward(net, x)
     y = trace.activations
@@ -316,7 +314,6 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     if depth == 1:
         return np.zeros(index.n_params)
     a = _output_sensitivities(net.weights, np.ones(1))
-    jac = _jacobian_table(net)
     a_sq = [None] + [float(a[k] @ a[k]) for k in range(1, depth + 1)]
     y_sq = [float(y[l] @ y[l]) for l in range(depth + 1)]
 
@@ -324,14 +321,14 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
         # row layers k >= l + 2: sum_k ||a_k||^2 * (J(l, k-1) @ y_{k-1})
         acc = np.zeros(net.arch.widths[l])
         for k in range(l + 2, depth + 1):
-            acc += a_sq[k] * (jac[(l, k - 1)] @ y[k - 1])
+            acc += a_sq[k] * (interlayer_jacobian(net, trace, l, k - 1) @ y[k - 1])
         return np.outer(y[l - 1], acc)
 
     def rows_far_below(l):
         # row layers k <= l - 2: sum_k ||y_{k-1}||^2 * (J(k, l-1)^T @ a_k)
         acc = np.zeros(net.arch.widths[l - 1])
         for k in range(1, l - 1):
-            acc += y_sq[k - 1] * (jac[(k, l - 1)].T @ a[k])
+            acc += y_sq[k - 1] * (interlayer_jacobian(net, trace, k, l - 1).T @ a[k])
         return np.outer(acc, a[l])
 
     def row_directly_above(l):
@@ -488,7 +485,6 @@ def fd_hessian(
     targets,
     loss: LossFunction,
     step: float | None = None,
-    dense_cap: int = DENSE_CAP,
 ) -> np.ndarray:
     """Central-difference dense Hessian of the batch loss.
 
@@ -506,8 +502,8 @@ def fd_hessian(
     t = _as_targets(targets, x.shape[0])
     index = net.param_index
     P = index.n_params
-    if P > dense_cap:
-        raise CapacityError(f"P = {P} exceeds dense cap {dense_cap}")
+    if P > DENSE_CAP:
+        raise CapacityError(f"P = {P} exceeds dense cap {DENSE_CAP}")
     w0 = net.param_vector()
     h = np.full(P, step) if step is not None else _QUART_EPS * (1.0 + np.abs(w0))
     losses = _PerturbedLoss(net, x, t, loss)
@@ -676,21 +672,3 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
     coeff = loss.d2(trace.outputs, t) * z_dot[:, 0] / x.shape[0]
     return _weighted_gradient(net, trace, coeff)
 
-
-def directional_output_curvature(net: Network, x, direction: np.ndarray) -> float:
-    """Second derivative of the scalar output along a direction, normalized.
-
-    The quadratic form u . H_out u of the output Hessian at the single input
-    x, with u = direction / ||direction||, from the exact product
-    output_hessian_vp.  Works for either activation (for relu, the Hessian of
-    the local smooth piece).
-    """
-    n_params = net.arch.n_params
-    d = np.asarray(direction, dtype=np.float64).reshape(-1)
-    if d.shape[0] != n_params:
-        raise DimensionError(f"direction length {d.shape[0]} != P = {n_params}")
-    d_norm = float(np.linalg.norm(d))
-    if d_norm == 0.0:
-        raise DirectionError("direction has zero norm")
-    unit = d / d_norm
-    return float(unit @ output_hessian_vp(net, x, unit))

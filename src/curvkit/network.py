@@ -262,8 +262,11 @@ def load_network(path, strict: bool = True) -> Network:
     strict=True rejects non-finite weights at load time; strict=False defers
     that to downstream numeric checks (useful for diagnosing damaged files).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DimensionError(f"{path}: not a curvkit network file (not ASCII text)") from exc
     if not lines or lines[0] != "curvkit-network v1":
         raise DimensionError(f"{path}: not a curvkit network file")
     if len(lines) < 3:
@@ -273,8 +276,11 @@ def load_network(path, strict: bool = True) -> Network:
     activation = lines[1].split()[1]
     if not lines[2].startswith("widths "):
         raise DimensionError(f"{path}: missing widths line")
-    widths = tuple(int(tok) for tok in lines[2].split()[1:])
-    arch = Architecture(widths, activation)
+    try:
+        arch = Architecture(tuple(int(tok) for tok in lines[2].split()[1:]), activation)
+    except ValueError as exc:
+        raise DimensionError(f"{path}: {exc}") from exc
+    widths = arch.widths
     if len(lines) < 3 + arch.depth + sum(widths[:-1]):
         raise DimensionError(f"{path}: file ends before the last weight row")
     weights = []
@@ -287,7 +293,10 @@ def load_network(path, strict: bool = True) -> Network:
         cursor += 1
         block = []
         for r in range(rows):
-            row = [float(tok) for tok in lines[cursor + r].split()]
+            try:
+                row = [float(tok) for tok in lines[cursor + r].split()]
+            except ValueError as exc:
+                raise DimensionError(f"{path}: layer {l + 1} row {r + 1}: {exc}") from exc
             if len(row) != cols:
                 raise DimensionError(
                     f"{path}: layer {l + 1} row {r + 1} has {len(row)} values, expected {cols}"

@@ -424,6 +424,15 @@ WEIGHT_FILES = [
         ),
         "layer 1 row 2 has 1 values, expected 2", id="ragged row",
     ),
+    pytest.param(
+        lambda path: path.write_text(
+            "curvkit-network v1\nactivation identity\nwidths 2 2 1\n"
+            "layer 1 2x2\n1 2\n3 x\nlayer 2 2x1\n5\n6\n"
+        ),
+        "layer 1 row 2: could not convert string to float: 'x'", id="non-numeric token",
+    ),
+    pytest.param(lambda path: path.write_bytes(b"curvkit-network v1\nwidths \xff\n"), "not ASCII text",
+                 id="not ASCII"),
     # Architecture refuses to build this net, so the file is written by hand.
     pytest.param(
         lambda path: path.write_text(
@@ -491,6 +500,7 @@ class TestExitCodes:
         assert result.returncode == 2, result.stderr
         assert "config error:" in result.stderr
         assert cause in result.stderr
+        assert result.stderr.count(str(weights_path)) == 1
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("command", ["train", "sweep"])

@@ -78,6 +78,18 @@ class TestDecompose:
         report = psd_check(dec.gauss_newton)
         assert report.passed
 
+    def test_relu_route_matches_hvp_columns(self):
+        # decompose's closed form and the R-op share no code.
+        net = random_net((4, 6, 5, 1), 80, "relu")
+        gen = RngStream(81, 0).generator()
+        xs = gen.standard_normal((7, 4))
+        ts = gen.integers(0, 2, 7) * 2.0 - 1.0
+        dec = decompose(net, xs, ts, squared_error())
+        eye = np.eye(net.param_index.n_params)
+        columns = np.column_stack([hvp(net, xs, ts, squared_error(), e) for e in eye])
+        assert np.linalg.norm(dec.hessian - columns) <= 1e-12 * np.linalg.norm(columns)
+        assert np.linalg.norm(dec.functional) > 0.1 * np.linalg.norm(dec.hessian)
+
 
 class TestProjection:
     def test_hand_example(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvkit import (
+    DENSE_CAP,
     ActivationError,
     Architecture,
     CapacityError,
@@ -10,7 +11,6 @@ from curvkit import (
     Network,
     RngStream,
     batch_loss,
-    directional_output_curvature,
     fd_hessian,
     ggn_vp,
     gradient_curvatures,
@@ -174,15 +174,25 @@ class TestOutputHessianDense:
             ref = fd_hessian(net, x, 0.0, raw_output())
             assert np.linalg.norm(dense - ref) <= 1e-5 * np.linalg.norm(ref)
 
-    def test_relu_unsupported(self):
-        net = random_net((3, 3, 1), 42, "relu")
-        with pytest.raises(ActivationError):
-            output_hessian(net, [1.0, 0.0, 0.0])
+    @pytest.mark.parametrize("widths", [(3, 4, 5, 1), (4, 5, 6, 3, 1), (2, 3, 3, 3, 3, 1)])
+    def test_relu_matches_rop_columns_and_fd_oracle(self, widths):
+        # The relu Hessian is the masked linear net's, scaled by the masks on
+        # both sides; the R-op and the FD oracle share no code with it.
+        gen = RngStream(42, 1).generator()
+        x = gen.standard_normal(widths[0])
+        net = relu_net_off_kinks(widths, 42, x)
+        dense = output_hessian(net, x)
+        eye = np.eye(net.param_index.n_params)
+        columns = np.column_stack([output_hessian_vp(net, x, e) for e in eye])
+        assert np.linalg.norm(dense - columns) <= 1e-12 * np.linalg.norm(columns)
+        ref = fd_hessian(net, x, 0.0, raw_output())
+        assert np.linalg.norm(dense - ref) <= 1e-5 * np.linalg.norm(ref)
 
     def test_capacity_cap(self):
-        net = random_net((4, 4, 1), 43)
+        net = random_net((150, 140, 1), 43)
+        assert net.param_index.n_params > DENSE_CAP
         with pytest.raises(CapacityError):
-            output_hessian(net, [1.0, 0.0, 0.0, 0.0], dense_cap=10)
+            output_hessian(net, np.ones(150))
 
 
 class TestOutputHessianGradProduct:
@@ -286,9 +296,10 @@ class TestFdHessian:
         assert np.linalg.norm(h - h.T) == 0.0  # symmetrized by construction
 
     def test_capacity_cap(self):
-        net = random_net((30, 30, 1), 55)
+        net = random_net((150, 140, 1), 55)
+        assert net.param_index.n_params > DENSE_CAP
         with pytest.raises(CapacityError):
-            fd_hessian(net, np.ones((1, 30)), [0.0], squared_error(), dense_cap=100)
+            fd_hessian(net, np.ones((1, 150)), [0.0], squared_error())
 
 
 def loop_fd_hessian(net, xs, ts, loss, step=None):
@@ -538,13 +549,19 @@ class TestGradientCurvatures:
 
 
 class TestDirectionalCurvature:
+    """Output curvature along a direction, as curvature_projection of the R-op."""
+
+    @staticmethod
+    def curvature(net, x, d):
+        return curvature_projection(lambda v: output_hessian_vp(net, x, v), d)
+
     def test_two_layer_chain(self):
-        value = directional_output_curvature(chain([1.0, 1.0]), [1.0], np.array([1.0, 1.0]))
+        value = self.curvature(chain([1.0, 1.0]), [1.0], np.array([1.0, 1.0]))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_single_layer_zero(self):
         net = random_net((4, 1), 65)
-        value = directional_output_curvature(net, np.ones(4) / 2.0, np.ones(4))
+        value = self.curvature(net, np.ones(4) / 2.0, np.ones(4))
         assert abs(value) <= 1e-12
 
     def test_matches_dense_quadratic_form(self):
@@ -555,9 +572,7 @@ class TestDirectionalCurvature:
         for _ in range(5):
             d = gen.standard_normal(net.param_index.n_params)
             unit = d / np.linalg.norm(d)
-            assert directional_output_curvature(net, x, d) == pytest.approx(
-                float(unit @ dense @ unit), abs=1e-12
-            )
+            assert self.curvature(net, x, d) == pytest.approx(float(unit @ dense @ unit), abs=1e-12)
 
     @pytest.mark.parametrize("seed", [73, 74, 75])
     def test_relu_matches_fd_oracle(self, seed):
@@ -568,10 +583,8 @@ class TestDirectionalCurvature:
         for _ in range(5):
             d = gen.standard_normal(net.param_index.n_params)
             unit = d / np.linalg.norm(d)
-            assert directional_output_curvature(net, x, d) == pytest.approx(
-                float(unit @ dense @ unit), rel=1e-6
-            )
+            assert self.curvature(net, x, d) == pytest.approx(float(unit @ dense @ unit), rel=1e-6)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(DirectionError):
-            directional_output_curvature(chain([1.0]), [1.0], np.zeros(1))
+            self.curvature(chain([1.0]), [1.0], np.zeros(1))
