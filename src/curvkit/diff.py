@@ -4,8 +4,10 @@ Two routes exist for every second-order quantity: exact routes that exploit
 the layered structure, and finite-difference routes that serve only as
 independent oracles.  The oracles use no derivative formula and share no
 kernel with the exact routes; the dense FD Hessian knows only the flat
-parameter layout and the order in which the layers compose, and uses them
-only to skip the layers a stencil point leaves unperturbed.  Every exact
+parameter layout (which unit a coordinate feeds) and the order in which the
+layers compose, and uses them only to skip work: a moved weight recomputes
+only the unit it feeds, from its moved row, and the activations after a
+first move are shared by every second move.  Every exact
 Hessian-vector product (hvp, output_hessian_vp) is one R-op, valid for
 identity and relu networks.  The R-op and the Gauss-Newton product ggn_vp
 share one tangent forward pass, which gives the Jacobian-vector product of
@@ -37,7 +39,6 @@ from .network import (
     Architecture,
     BatchTrace,
     Network,
-    ParamIndex,
     batch_forward,
     forward,
     interlayer_jacobian,
@@ -53,11 +54,14 @@ DENSE_CAP = 20_000
 _QUART_EPS = float(np.finfo(np.float64).eps ** 0.25)
 
 # Signs of the steps along a and b in the four points of the off-diagonal
-# stencil (f(++) - f(+-) - f(-+) + f(--)) / (4 h_a h_b).
+# stencil (f(++) - f(+-) - f(-+) + f(--)) / (4 h_a h_b); _SIGN[s] is the
+# sign of index s, so index 2 s_a + s_b of _FD_SIGNS is (_SIGN[s_a], _SIGN[s_b]).
 _FD_SIGNS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+_SIGN = np.array([1.0, -1.0])
 
-# Perturbed weights plus activations held by one chunk of stencil points.
-_FD_CHUNK_CELLS = 4 * 65536
+# Activations held by one chunk of stencil points: 512 KiB of float64, so a
+# chunk and the next layer's GEMM output fit together in a 2 MiB L2 cache.
+_FD_CHUNK_CELLS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -375,108 +379,184 @@ def output_hessian_vp(net: Network, x, direction: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _PerturbedLoss:
-    """Batch loss at w0 + da e_a + db e_b, one row per stencil point.
+class _FdStencil:
+    """The batch losses of the FD stencil, one layer pair at a time.
 
     The finite-difference oracle's own forward loop: it shares no code with
-    batch_forward, the tangent passes or the R-op.  Layer l's flat block is
-    W_l^T, (n_l, n_{l-1}) row-major.  A perturbed layer is applied as the
-    perturbed matrix itself; only the layers a point leaves unperturbed are
-    shared between points.
+    batch_forward, the tangent passes or the R-op.  Layers are indexed from
+    0 here: block l is W_{l+1}^T, (widths[l+1], widths[l]) row-major, the
+    flat layout of its coordinates, so a coordinate moves one weight of the
+    row that feeds one unit.  A moved unit's pre-activation is recomputed as
+    the dot product of its moved row with the layer's input; every other
+    unit keeps its unmoved value, and the unmoved layers after the last
+    moved one are one GEMM each over a chunk of points, in the column layout
+    (width, points x N).  For a pair in layers la < lb, the activations
+    entering lb depend only on the move in la, so they are computed once per
+    (a, sign) and shared by every b.  Chunks hold about _FD_CHUNK_CELLS
+    activations.
     """
 
-    def __init__(self, net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction):
-        index = net.param_index
-        self.offsets = index.offsets
-        self.widths = net.arch.widths
+    def __init__(self, net: Network, inputs: np.ndarray, targets: np.ndarray,
+                 loss: LossFunction, h: np.ndarray):
+        self.offsets = net.param_index.offsets
+        self.widths, self.depth = net.arch.widths, net.depth
         self.relu = net.arch.activation == RELU
-        self.targets, self.loss = targets, loss
+        self.targets, self.loss, self.h = targets, loss, h
+        self.n_samples = n = inputs.shape[0]
         w0 = net.param_vector()
         self.blocks = [
-            w0[index.layer_slice(l)].reshape(self.widths[l + 1], self.widths[l])
-            for l in range(net.depth)
+            w0[net.param_index.layer_slice(l)].reshape(self.widths[l + 1], self.widths[l])
+            for l in range(self.depth)
         ]
-        # The unperturbed input of every layer, column layout (n_{l-1}, N).
+        # Unmoved input (widths[l], N) and pre-activation (widths[l+1], N) of
+        # every layer.
         self.layer_inputs = [np.ascontiguousarray(inputs.T)]
-        for block in self.blocks[:-1]:
-            self.layer_inputs.append(self._act(block @ self.layer_inputs[-1]))
+        self.pre = []
+        for l, block in enumerate(self.blocks):
+            self.pre.append(block @ self.layer_inputs[l])
+            if l + 1 < self.depth:
+                self.layer_inputs.append(self._act(self.pre[l].copy()))
+        # moved[l][c, s]: the pre-activation of the unit coordinate c feeds,
+        # at the unmoved input, with c moved by _SIGN[s] h_c; (P_l, 2, N).
+        self.moved = []
+        for l in range(self.depth):
+            size, chunk = self._size(l), self._chunk(2 * (self.widths[l] + n))
+            parts = [
+                self._moved_rows(l, lo, min(lo + chunk, size)) @ self.layer_inputs[l]
+                for lo in range(0, size, chunk)
+            ]
+            self.moved.append(np.concatenate(parts).reshape(-1, 2, n))
 
     def _act(self, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0, out=z) if self.relu else z
 
-    def __call__(self, a, da, b, db) -> np.ndarray:
-        """Losses of the rows (a[r], da[r], b[r], db[r]), where a[r] <= b[r]
-        are flat coordinates; a = b with db = 0 perturbs one weight."""
-        a, b = np.asarray(a), np.asarray(b)
-        da, db = np.asarray(da, dtype=np.float64), np.asarray(db, dtype=np.float64)
-        la = np.searchsorted(self.offsets, a, side="right") - 1
-        lb = np.searchsorted(self.offsets, b, side="right") - 1
-        key = la * len(self.widths) + lb
-        out = np.empty(a.size)
-        for k in np.unique(key):
-            rows = np.flatnonzero(key == k)
-            out[rows] = self._layer_pair(*divmod(int(k), len(self.widths)),
-                                         a[rows], da[rows], b[rows], db[rows])
-        return out
+    def _size(self, layer: int) -> int:
+        return int(self.offsets[layer + 1] - self.offsets[layer])
 
-    def _coords(self, layer: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(output unit, input unit) of flat coordinates c inside layer's block."""
-        return np.divmod(c - self.offsets[layer], self.widths[layer])
+    def _units(self, layer: int) -> np.ndarray:
+        """The unit each coordinate of layer's block feeds, in flat order."""
+        return np.arange(self._size(layer)) // self.widths[layer]
 
-    def _layer_pair(self, la, lb, a, da, b, db) -> np.ndarray:
-        """Losses of R points whose perturbed weights lie in layers la <= lb.
+    def _chunk(self, cells_per_item: int) -> int:
+        return max(1, _FD_CHUNK_CELLS // cells_per_item)
 
-        Layer la reads the shared unperturbed input, so its R perturbed
-        blocks are one GEMM, giving the column layout (n, R*N); unperturbed
-        layers are one GEMM each in that layout.  Layer lb (when after la) is
-        the one per-row batched matmul, which turns the layout into rows
-        (R*N, n) for the unperturbed layers after it.
-        """
-        depth = len(self.widths) - 1
-        n_rows, n_samples = a.size, self.layer_inputs[0].shape[1]
-        rows = np.arange(n_rows)
-        w = np.repeat(self.blocks[la][:, None, :], n_rows, axis=1)  # (n_la, R, n_{la-1})
-        i, j = self._coords(la, a)
-        w[i, rows, j] += da
-        if lb == la:
-            i, j = self._coords(la, b)
-            w[i, rows, j] += db
-        z = (w.reshape(-1, self.widths[la]) @ self.layer_inputs[la]).reshape(-1, n_rows * n_samples)
-        for l in range(la + 1, lb if lb > la else depth):
+    def _moved_rows(self, layer: int, lo: int, hi: int) -> np.ndarray:
+        """The rows feeding the units of coordinates lo .. hi-1 of layer's
+        block, each moved at its coordinate by +h, then by -h: row 2 r + s
+        is coordinate lo + r moved by _SIGN[s] h; (2 (hi - lo), widths[layer])."""
+        unit, j = np.divmod(np.arange(lo, hi), self.widths[layer])
+        step = self.h[self.offsets[layer] + lo : self.offsets[layer] + hi]
+        rows = np.repeat(self.blocks[layer][unit, None], 2, axis=1)
+        k = np.arange(hi - lo)
+        rows[k, 0, j] += step
+        rows[k, 1, j] -= step
+        return rows.reshape(-1, self.widths[layer])
+
+    def _losses(self, outputs: np.ndarray) -> np.ndarray:
+        """Batch losses of the points whose outputs are the rows of outputs."""
+        return np.mean(self.loss.value(outputs, self.targets), axis=1)
+
+    def _outputs_after(self, layer: int, z: np.ndarray) -> np.ndarray:
+        """Outputs (K, N) of K points whose pre-activations at layer are z,
+        (widths[layer+1], K, N); the layers after it are unmoved."""
+        n_points = z.shape[1]
+        z = z.reshape(z.shape[0], -1)
+        for l in range(layer + 1, self.depth):
             z = self.blocks[l] @ self._act(z)
-        if lb > la:
-            v = np.repeat(self.blocks[lb].T[None], n_rows, axis=0)  # (R, n_{lb-1}, n_lb)
-            i, j = self._coords(lb, b)
-            v[rows, j, i] += db
-            a_rows = self._act(z).reshape(-1, n_rows, n_samples).transpose(1, 2, 0)
-            z = np.matmul(a_rows, v).reshape(n_rows * n_samples, -1)
-            for l in range(lb + 1, depth):
-                z = self._act(z) @ self.blocks[l].T
-        outputs = z.reshape(n_rows, n_samples)
-        return np.mean(self.loss.value(outputs, self.targets[None, :]), axis=1)
+        return z.reshape(n_points, -1)
+
+    def values(self):
+        """Yield (a, b, signs, vals): vals[r, s] is the batch loss at w0 moved
+        by signs[s][0] h_a along a[r] and by signs[s][1] h_b along b[r].
+
+        The unmoved point comes first (one value, signs 0).  Then, layer by
+        layer la: the pairs a < b inside la (signs _FD_SIGNS), and for each
+        chunk of its coordinates a, the pairs (a, b) with b in every later
+        layer (_FD_SIGNS) and the diagonal a = b (signs +-1 and 0).
+        """
+        f0 = self._losses(self.pre[-1])
+        yield np.zeros(1, dtype=int), np.zeros(1, dtype=int), ((0.0, 0.0),), f0[:, None]
+        for la in range(self.depth):
+            yield from self._same_layer(la)
+            yield from self._from_layer(la)
+
+    def _same_layer(self, la: int):
+        """Pairs a < b in layer la: units i_a and i_b take their moved values,
+        and a unit fed by both takes the value of its row moved at both."""
+        n, off = self.n_samples, self.offsets[la]
+        unit = self._units(la)
+        j = np.arange(unit.size) % self.widths[la]
+        sign_a, sign_b = np.divmod(np.arange(4), 2)  # the _SIGN indices of _FD_SIGNS
+        for a, b in _pairs_above_diagonal(unit.size, self._chunk(4 * n * max(self.widths))):
+            pairs = np.arange(a.size)
+            z = np.repeat(self.pre[la][:, None, :], 4 * a.size, axis=1).reshape(-1, a.size, 4, n)
+            z[unit[a], pairs] = self.moved[la][a[:, None], sign_a]
+            z[unit[b], pairs] = self.moved[la][b[:, None], sign_b]
+            same = np.flatnonzero(unit[a] == unit[b])
+            a_s, b_s, k = a[same, None], b[same, None], np.arange(same.size)[:, None]
+            rows = np.repeat(self.blocks[la][unit[a[same]], None], 4, axis=1)
+            rows[k, np.arange(4), j[a_s]] += _SIGN[sign_a] * self.h[off + a_s]
+            rows[k, np.arange(4), j[b_s]] += _SIGN[sign_b] * self.h[off + b_s]
+            rows = rows.reshape(-1, self.widths[la])
+            z[unit[a[same]], same] = (rows @ self.layer_inputs[la]).reshape(-1, 4, n)
+            out = self._outputs_after(la, z.reshape(z.shape[0], -1, n))
+            yield off + a, off + b, _FD_SIGNS, self._losses(out).reshape(-1, 4)
+
+    def _from_layer(self, la: int):
+        """The diagonal of layer la and its pairs with every later layer.
+
+        For a chunk of coordinates a, the 2 ka points a +- h_a are carried
+        layer by layer in the column layout (width, 2 ka N), and the
+        activations entering each later layer lb are the prefixes of the
+        pairs (a, b).
+        """
+        n, off = self.n_samples, self.offsets[la]
+        unit = self._units(la)
+        chunk = self._chunk(4 * n * max(self.widths))
+        for lo in range(0, unit.size, chunk):
+            a = np.arange(lo, min(lo + chunk, unit.size))
+            z = np.repeat(self.pre[la][:, None, :], 2 * a.size, axis=1)
+            z[np.repeat(unit[a], 2), np.arange(2 * a.size)] = self.moved[la][a].reshape(-1, n)
+            z = z.reshape(z.shape[0], -1)
+            for lb in range(la + 1, self.depth):
+                prefix = self._act(z)
+                z = self.blocks[lb] @ prefix
+                yield from self._cross(lb, off + a, prefix, z)
+            vals = self._losses(z.reshape(-1, n)).reshape(-1, 2)
+            yield off + a, off + a, ((1.0, 0.0), (-1.0, 0.0)), vals
+
+    def _cross(self, lb: int, a: np.ndarray, prefix: np.ndarray, pre: np.ndarray):
+        """Pairs (a, b) with b in layer lb, given the prefixes (widths[lb],
+        2 ka N) that a +- h_a feed into lb and their pre-activations pre
+        (widths[lb+1], 2 ka N) at lb.  Unit i_b takes the dot of b's moved
+        row with each prefix: one GEMM for every (b, sign) against every
+        prefix.
+        """
+        n, ka, off = self.n_samples, a.size, self.offsets[lb]
+        unit = self._units(lb)
+        chunk = self._chunk(4 * ka * n * max(self.widths))
+        for lo in range(0, unit.size, chunk):
+            b = np.arange(lo, min(lo + chunk, unit.size))
+            moved = (self._moved_rows(lb, lo, lo + b.size) @ prefix).reshape(2 * b.size, 2 * ka, n)
+            if lb == self.depth - 1:  # the output unit is the one moved unit
+                out = moved.transpose(1, 0, 2)
+            else:
+                z = np.repeat(pre.reshape(-1, 2 * ka, 1, n), 2 * b.size, axis=2)
+                z[np.repeat(unit[b], 2), :, np.arange(2 * b.size)] = moved
+                out = self._outputs_after(lb, z.reshape(z.shape[0], -1, n))
+            vals = self._losses(out.reshape(-1, n)).reshape(ka, 2, b.size, 2).transpose(0, 2, 1, 3)
+            yield np.repeat(a, b.size), np.tile(off + b, ka), _FD_SIGNS, vals.reshape(-1, 4)
 
 
-def _fd_pair_chunks(index: ParamIndex, n_samples: int):
-    """The coordinate pairs (a, b) of the FD stencil in chunks.
-
-    Layer by layer la, yields first the diagonal of la (a == b), then the
-    pairs a < b inside la, then those with b in each later layer lb, so every
-    chunk perturbs one layer pair.  A chunk of four stencil points per pair
-    holds about _FD_CHUNK_CELLS cells of perturbed weights and activations.
-    """
-    offsets, sizes = index.offsets, np.diff(index.offsets)
-    act_cells = n_samples * max(index.widths)
-    for la in range(sizes.size):
-        layer = np.arange(offsets[la], offsets[la + 1])
-        pair_a, pair_b = np.triu_indices(sizes[la], 1)
-        groups = [(0, layer, layer), (0, pair_a + offsets[la], pair_b + offsets[la])]
-        for lb in range(la + 1, sizes.size):
-            pair_a, pair_b = np.divmod(np.arange(sizes[la] * sizes[lb]), sizes[lb])
-            groups.append((sizes[lb], pair_a + offsets[la], pair_b + offsets[lb]))
-        for lb_cells, pair_a, pair_b in groups:
-            chunk = max(1, _FD_CHUNK_CELLS // (4 * (sizes[la] + lb_cells + act_cells)))
-            for start in range(0, pair_a.size, chunk):
-                yield pair_a[start : start + chunk], pair_b[start : start + chunk]
+def _pairs_above_diagonal(size: int, chunk: int):
+    """The pairs a < b of range(size) in row-major order, chunk at a time."""
+    counts = np.arange(size - 1, -1, -1)
+    starts = np.cumsum(counts) - counts  # flat index of each row's first pair
+    total = size * (size - 1) // 2
+    for lo in range(0, total, chunk):
+        flat = np.arange(lo, min(lo + chunk, total))
+        a = np.searchsorted(starts, flat, side="right") - 1
+        yield a, a + 1 + flat - starts[a]
 
 
 def fd_hessian(
@@ -489,14 +569,16 @@ def fd_hessian(
     """Central-difference dense Hessian of the batch loss.
 
     Per-coordinate step h_a = eps**0.25 * (1 + |w_a|) unless an explicit
-    step is given; diagonal entries use the three-point stencil, off-diagonal
-    entries the four-point stencil, and the result is symmetrized: 1 + 2P +
-    2P(P - 1) loss evaluations.  This is the oracle the exact routes are
-    judged against, so it uses no derivative formula and shares no kernel
-    with them: every value is a batch loss at w0 moved along one or two
-    coordinates, from _PerturbedLoss's own forward loop.  All it knows of
-    the network is the flat layout and the order in which the layers
-    compose, and it uses that only to skip the layers a point leaves alone.
+    step (finite and > 0) is given; diagonal entries use the three-point
+    stencil, off-diagonal entries the four-point stencil, and the result is
+    symmetrized: 1 + 2P + 2P(P - 1) loss evaluations.  This is the oracle
+    the exact routes are judged against, so it uses no derivative formula
+    and shares no kernel with them: every value is a batch loss at w0 moved
+    along one or two coordinates, from _FdStencil's own forward loop.  All
+    it knows of the network is the flat layout (which unit a coordinate
+    feeds) and the order in which the layers compose, and it uses that
+    only to skip work: a move recomputes only the unit it feeds, and the
+    activations after a first move are shared by every second move.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
@@ -504,24 +586,17 @@ def fd_hessian(
     P = index.n_params
     if P > DENSE_CAP:
         raise CapacityError(f"P = {P} exceeds dense cap {DENSE_CAP}")
+    if step is not None and not (np.isfinite(step) and step > 0.0):
+        raise DimensionError(f"fd_hessian step must be finite and > 0, got {step}")
     w0 = net.param_vector()
     h = np.full(P, step) if step is not None else _QUART_EPS * (1.0 + np.abs(w0))
-    losses = _PerturbedLoss(net, x, t, loss)
-
-    def stencil(a, b, signs):
-        # Row (i, s) moves pair i by signs[s]; returns (pairs, len(signs)).
-        a_rows, b_rows = np.repeat(a, len(signs)), np.repeat(b, len(signs))
-        sign_a, sign_b = np.tile(np.transpose(signs), a.size)
-        return losses(a_rows, sign_a * h[a_rows], b_rows, sign_b * h[b_rows]).reshape(a.size, -1)
-
-    f0 = float(losses([0], [0.0], [0], [0.0])[0])
     hess = np.zeros((P, P))
-    for a, b in _fd_pair_chunks(index, x.shape[0]):
-        if a[0] == b[0]:  # diagonal: f(w + h e_a) and f(w - h e_a)
-            vals = stencil(a, b, ((1.0, 0.0), (-1.0, 0.0)))
+    for a, b, signs, vals in _FdStencil(net, x, t, loss, h).values():
+        if len(signs) == 1:
+            f0 = vals[0, 0]
+        elif len(signs) == 2:  # diagonal: f(w + h e_a) and f(w - h e_a)
             hess[a, a] = (vals[:, 0] - 2.0 * f0 + vals[:, 1]) / h[a] ** 2
         else:
-            vals = stencil(a, b, _FD_SIGNS)
             v = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h[a] * h[b])
             hess[a, b] = v
             hess[b, a] = v

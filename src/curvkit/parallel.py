@@ -1,6 +1,7 @@
 """Deterministic fan-out of independent trial ranges across processes."""
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -11,18 +12,30 @@ def _call_range(args):
     return fn(start, stop)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
     """Evaluate fn(start, stop) over [0, n_items) and concatenate in order.
 
     fn must be picklable and must derive all randomness from the trial
     indices it receives, so results are identical for every worker count.
-    The items are split into about four ranges per worker, handed out in
-    index order, and the pool never has more workers than ranges.  One
-    worker, or one item (the only count that makes a single range), runs in
-    this process: a pool of one would only fork and pickle.
+    The effective worker count is n_workers capped at _usable_cpus(): more
+    processes than CPUs would only queue.  The items are split into about
+    four ranges per effective worker, handed out in index order, and the
+    pool never has more workers than ranges.  One worker, or one item (the
+    only count that makes a single range), runs in this process: a pool of
+    one would only fork and pickle.
     """
     if n_items <= 0:
         return np.empty((0,))
+    n_workers = min(n_workers, _usable_cpus())
     if n_workers <= 1 or n_items == 1:
         return np.asarray(fn(0, n_items))
     chunk = -(-n_items // (4 * n_workers))

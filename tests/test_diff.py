@@ -28,7 +28,9 @@ from curvkit import (
     squared_error,
 )
 from curvkit.curvature import curvature_projection
-from curvkit.diff import _QUART_EPS, _PerturbedLoss, _fd_pair_chunks
+import curvkit.diff
+import curvkit.network
+from curvkit.diff import _QUART_EPS, _FdStencil
 
 
 def chain(weights, activation="identity"):
@@ -301,36 +303,32 @@ class TestFdHessian:
         with pytest.raises(CapacityError):
             fd_hessian(net, np.ones((1, 150)), [0.0], squared_error())
 
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"), -float("inf")])
+    def test_step_must_be_finite_and_positive(self, step):
+        net = random_net((3, 2, 1), 56)
+        with pytest.raises(DimensionError, match=f"got {step}"):
+            fd_hessian(net, np.ones((1, 3)), [0.0], squared_error(), step=step)
+
 
 def loop_fd_hessian(net, xs, ts, loss, step=None):
-    """fd_hessian with its stencil written out: for every chunk of pairs,
-    one Python loop builds the points and another reads the entries."""
+    """fd_hessian with its assembly written out: one Python loop over the
+    stencil's values reads every entry."""
     P = net.param_index.n_params
     w0 = net.param_vector()
     h = np.full(P, step) if step is not None else _QUART_EPS * (1.0 + np.abs(w0))
     x = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    losses = _PerturbedLoss(net, x, np.asarray(ts, dtype=np.float64), loss)
-    f0 = losses([0], [0.0], [0], [0.0])[0]
+    stencil = _FdStencil(net, x, np.asarray(ts, dtype=np.float64), loss, h)
     hess = np.zeros((P, P))
-    for chunk_a, chunk_b in _fd_pair_chunks(net.param_index, x.shape[0]):
-        points = []
-        for a, b in zip(chunk_a, chunk_b):
-            if a == b:
-                points += [(a, h[a], a, 0.0), (a, -h[a], a, 0.0)]
+    for a_block, b_block, signs, vals in stencil.values():
+        for a, b, v in zip(a_block, b_block, vals):
+            if len(signs) == 1:
+                f0 = v[0]
+            elif len(signs) == 2:
+                assert a == b and signs == ((1.0, 0.0), (-1.0, 0.0))
+                hess[a, a] = (v[0] - 2.0 * f0 + v[1]) / (h[a] * h[a])
             else:
-                points += [(a, h[a], b, h[b]), (a, h[a], b, -h[b]),
-                           (a, -h[a], b, h[b]), (a, -h[a], b, -h[b])]
-        vals = losses(*(np.array(column) for column in zip(*points)))
-        k = 0
-        for a, b in zip(chunk_a, chunk_b):
-            if a == b:
-                hess[a, a] = (vals[k] - 2.0 * f0 + vals[k + 1]) / (h[a] * h[a])
-                k += 2
-            else:
-                v = (vals[k] - vals[k + 1] - vals[k + 2] + vals[k + 3]) / (4.0 * h[a] * h[b])
-                hess[a, b] = v
-                hess[b, a] = v
-                k += 4
+                assert a < b and signs == ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+                hess[a, b] = hess[b, a] = (v[0] - v[1] - v[2] + v[3]) / (4.0 * h[a] * h[b])
     return 0.5 * (hess + hess.T)
 
 
@@ -338,9 +336,24 @@ def layer_of(index, coords):
     return np.searchsorted(index.offsets, coords, side="right") - 1
 
 
+def stencil_blocks(net, xs, ts, h):
+    return list(_FdStencil(net, np.atleast_2d(xs), np.asarray(ts), squared_error(), h).values())
+
+
+def stencil_points(blocks):
+    """Every value of the stencil blocks as flat arrays (a, b, sign_a,
+    sign_b, value): the loss at w0 + sign_a h_a e_a + sign_b h_b e_b."""
+    columns = [
+        np.stack([a, b, np.full(a.size, sa), np.full(a.size, sb), vals[:, s]])
+        for a, b, signs, vals in blocks
+        for s, (sa, sb) in enumerate(signs)
+    ]
+    a, b, sa, sb, v = np.concatenate(columns, axis=1)
+    return a.astype(int), b.astype(int), sa, sb, v
+
+
 class TestFdHessianStencil:
-    # P = 59 (one chunk per layer pair), P = 114 and P = 136 (layer pairs
-    # that span several chunks).
+    # P = 59 and P = 136 (identity), P = 114 (relu); default and 1e-3 steps.
     @pytest.mark.parametrize(
         "widths, activation",
         [((4, 6, 5, 1), "identity"), ((6, 6, 6, 6, 1), "relu"), ((8, 8, 8, 1), "identity")],
@@ -355,66 +368,121 @@ class TestFdHessianStencil:
         assert np.array_equal(got, loop_fd_hessian(net, xs, ts, squared_error(), step))
 
     @pytest.mark.parametrize("widths", [(8, 8, 8, 1), (3, 1), (2, 1, 3, 1)])
-    def test_chunks_cover_each_pair_once_within_one_layer_pair(self, widths):
-        index = random_net(widths, 92).param_index
-        chunks = list(_fd_pair_chunks(index, 4))
-        pairs = sorted(zip(*(np.concatenate(side).tolist() for side in zip(*chunks))))
+    @pytest.mark.parametrize("cells", [None, 40])
+    def test_values_cover_each_pair_once_within_one_layer_pair(self, widths, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(curvkit.diff, "_FD_CHUNK_CELLS", cells)
+        net = random_net(widths, 92)
+        index = net.param_index
+        h = np.full(index.n_params, 1e-3)
+        base, *blocks = stencil_blocks(net, np.ones((4, widths[0])), np.zeros(4), h)
+        assert base[2] == ((0.0, 0.0),) and base[3].shape == (1, 1)
+        a, b, _, sb, _ = stencil_points(blocks)
+        pairs = sorted(set(zip(a.tolist(), b.tolist())))
         assert pairs == sorted(zip(*np.triu_indices(index.n_params)))
-        for a, b in chunks:
+        assert a.size == 2 * index.n_params ** 2 and np.all((a == b) == (sb == 0))
+        for a, b, signs, vals in blocks:
+            assert vals.shape == (a.size, len(signs))
             assert np.unique(layer_of(index, a)).size == 1
             assert np.unique(layer_of(index, b)).size == 1
             assert np.all(a == b) or np.all(a < b)
-        if widths == (8, 8, 8, 1):  # some layer pair spans several chunks
-            off_diagonal = [(layer_of(index, a[0]), layer_of(index, b[0])) for a, b in chunks if a[0] != b[0]]
-            assert len(off_diagonal) > len(set(off_diagonal))
+        if cells is not None and widths == (8, 8, 8, 1):  # some layer pair spans several blocks
+            layer_pairs = [(layer_of(index, a[0]), layer_of(index, b[0])) for a, b, _, _ in blocks]
+            assert len(layer_pairs) > len(set(layer_pairs))
 
     @pytest.mark.parametrize("widths, n_samples", [((4, 6, 5, 1), 1), ((8, 8, 8, 1), 4)])
     def test_loss_evaluation_count(self, widths, n_samples, monkeypatch):
         rows = []
-        evaluate = _PerturbedLoss.__call__
+        evaluate = _FdStencil._losses
 
-        def counting(self, a, da, b, db):
-            rows.append(len(a))
-            return evaluate(self, a, da, b, db)
+        def counting(self, outputs):
+            assert outputs.shape[1] == n_samples
+            rows.append(outputs.shape[0])
+            return evaluate(self, outputs)
 
-        monkeypatch.setattr(_PerturbedLoss, "__call__", counting)
+        monkeypatch.setattr(_FdStencil, "_losses", counting)
         net = random_net(widths, 93)
         fd_hessian(net, np.ones((n_samples, widths[0])), 0.5, squared_error())
         P = net.param_index.n_params
         assert sum(rows) == 1 + 2 * P + 2 * P * (P - 1)
 
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_shares_no_code_with_the_exact_routes(self, activation, monkeypatch):
+        net = random_net((4, 5, 3, 1), 94, activation)
+        gen = RngStream(94, 1).generator()
+        xs = gen.standard_normal((3, 4))
+        ts = gen.standard_normal(3)
+        want = fd_hessian(net, xs, ts, squared_error())
 
-class TestPerturbedLoss:
+        def refuse(*args, **kwargs):
+            raise AssertionError("the FD oracle called an exact route's kernel")
+
+        for module, name in [
+            (curvkit.network, "_forward"),
+            (curvkit.network, "interlayer_jacobian"),
+            (curvkit.diff, "interlayer_jacobian"),
+            (curvkit.diff, "batch_forward"),
+            (curvkit.diff, "_output_sensitivities"),
+            (curvkit.diff, "_tangent_forward"),
+            (curvkit.diff, "_second_order_forward"),
+            (curvkit.diff, "_hessian_vp"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError):
+            batch_loss(net, xs, ts, squared_error())
+        assert np.array_equal(fd_hessian(net, xs, ts, squared_error()), want)
+
+
+class TestFdStencilValues:
     # Non-square layers, so a transposed block changes the loss; a width-1
     # hidden layer; a one-layer net, whose only layer is the output layer.
+    # cells = 300 cuts the layer pairs of the deeper nets into several blocks.
     @pytest.mark.parametrize("widths", [(5, 3, 7, 1), (4, 6, 1, 5, 1), (3, 1)])
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     @pytest.mark.parametrize("n_samples", [1, 5])
-    def test_each_row_is_the_batch_loss_of_its_network(self, widths, activation, n_samples):
+    @pytest.mark.parametrize("cells", [None, 300])
+    def test_each_value_is_the_batch_loss_of_its_network(
+        self, widths, activation, n_samples, cells, monkeypatch
+    ):
+        if cells is not None:
+            monkeypatch.setattr(curvkit.diff, "_FD_CHUNK_CELLS", cells)
         net = random_net(widths, 95, activation)
         gen = RngStream(96, 0).generator()
         xs = gen.standard_normal((n_samples, widths[0]))
         ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
         index = net.param_index
-        # Every pair a <= b of the first and last weight of each layer and six
-        # random weights: pairs in the same layer, in adjacent layers and in
-        # distant ones, the first and the output layer included, in one call.
-        ends = np.concatenate([index.offsets[:-1], index.offsets[1:] - 1])
-        coords = np.union1d(ends, gen.integers(0, index.n_params, 6))
-        i, j = np.triu_indices(coords.size)
-        a, b = coords[i], coords[j]
-        assert {(0, net.depth - 1), (0, 0)} <= set(zip(layer_of(index, a), layer_of(index, b)))
-        da, db = gen.standard_normal((2, a.size))
-        got = _PerturbedLoss(net, xs, ts, squared_error())(a, da, b, db)
-        want = []
-        for row in range(a.size):
+        # Steps of order one, so a value that moved the wrong weight, unit or
+        # sign is far from the batch loss of the network it names.
+        h = gen.uniform(0.5, 1.5, index.n_params)
+        a, b, sa, sb, got = stencil_points(stencil_blocks(net, xs, ts, h))
+        want = np.empty_like(got)
+        for r in range(got.size):
             w = net.param_vector()
-            w[a[row]] += da[row]
-            w[b[row]] += db[row]
-            want.append(batch_loss(net.with_params(w), xs, ts, squared_error()))
-        want = np.array(want)
-        assert got.shape == want.shape
+            w[a[r]] += sa[r] * h[a[r]]
+            w[b[r]] += sb[r] * h[b[r]]
+            want[r] = batch_loss(net.with_params(w), xs, ts, squared_error())
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        # Among them every kind of point: the unmoved net, the diagonal +-,
+        # two moves into one unit (in the output layer, where every weight
+        # feeds the one unit, and in a hidden layer), two units of one layer,
+        # and adjacent and distant layers.
+        la, lb = layer_of(index, a), layer_of(index, b)
+        unit_a = (a - index.offsets[la]) // np.asarray(widths)[la]
+        unit_b = (b - index.offsets[lb]) // np.asarray(widths)[lb]
+        one_layer = (a < b) & (la == lb)
+        kinds = {
+            "unmoved": (sa == 0) & (sb == 0),
+            "diagonal +": (a == b) & (sa == 1),
+            "diagonal -": (a == b) & (sa == -1),
+            "one unit, output layer": one_layer & (la == net.depth - 1),
+            "one unit, hidden layer": one_layer & (la < net.depth - 1) & (unit_a == unit_b),
+            "two units of one layer": one_layer & (unit_a != unit_b),
+            "adjacent layers": lb == la + 1,
+            "distant layers": lb > la + 1,
+        }
+        seen = {kind for kind, rows in kinds.items() if np.any(rows)}
+        one_layer_kinds = {"unmoved", "diagonal +", "diagonal -", "one unit, output layer"}
+        assert seen == (set(kinds) if net.depth > 1 else one_layer_kinds)
 
 
 class TestHvp:

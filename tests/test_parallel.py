@@ -1,4 +1,7 @@
+import os
+
 import numpy as np
+import pytest
 
 import curvkit.parallel
 from curvkit.parallel import map_trial_ranges
@@ -6,6 +9,11 @@ from curvkit.parallel import map_trial_ranges
 
 def _range_of_each_item(start, stop):
     return np.array([(start, stop)] * (stop - start))
+
+
+def _draw_per_item(start, stop):
+    # Randomness keyed by the item index, as map_trial_ranges requires.
+    return np.array([np.random.default_rng(i).standard_normal() for i in range(start, stop)])
 
 
 def _inline_pool(monkeypatch):
@@ -33,8 +41,13 @@ def _inline_pool(monkeypatch):
     return opened
 
 
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: n)
+
+
 class TestMapTrialRanges:
-    def test_few_items_split_across_workers(self):
+    def test_few_items_split_across_workers(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
         out = map_trial_ranges(_range_of_each_item, 9, 2)
         ranges = list(dict.fromkeys(map(tuple, out.tolist())))
         assert len(ranges) > 1
@@ -44,6 +57,7 @@ class TestMapTrialRanges:
         assert all(start <= i < stop for i, (start, stop) in enumerate(out.tolist()))
 
     def test_chunk_is_a_quarter_of_a_worker_share(self, monkeypatch):
+        _usable_cpus(monkeypatch, 64)
         opened = _inline_pool(monkeypatch)
         out = map_trial_ranges(_range_of_each_item, 1000, 2)
         (pool,) = opened
@@ -51,6 +65,7 @@ class TestMapTrialRanges:
         assert out.tolist() == [[s - s % 125, s - s % 125 + 125] for s in range(1000)]
 
     def test_pool_never_larger_than_task_count(self, monkeypatch):
+        _usable_cpus(monkeypatch, 64)
         opened = _inline_pool(monkeypatch)
         map_trial_ranges(_range_of_each_item, 9, 16)
         (pool,) = opened
@@ -67,3 +82,42 @@ class TestMapTrialRanges:
         out = map_trial_ranges(_range_of_each_item, 1, 2)
         assert opened == []
         assert out.tolist() == map_trial_ranges(_range_of_each_item, 1, 1).tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("n_workers", [3, 5000])
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, n_workers):
+        _usable_cpus(monkeypatch, 3)
+        opened = _inline_pool(monkeypatch)
+        out = map_trial_ranges(_range_of_each_item, 1000, n_workers)
+        (pool,) = opened
+        # Ranges are cut for the three usable CPUs, not for the request.
+        assert pool.max_workers == 3
+        assert [(s, e) for _, s, e in pool.tasks] == [(s, min(s + 84, 1000)) for s in range(0, 1000, 84)]
+        assert np.array_equal(np.concatenate([_range_of_each_item(s, e) for _, s, e in pool.tasks]), out)
+
+    def test_one_usable_cpu_opens_no_pool(self, monkeypatch):
+        _usable_cpus(monkeypatch, 1)
+        opened = _inline_pool(monkeypatch)
+        out = map_trial_ranges(_range_of_each_item, 1000, 5000)
+        assert opened == []
+        assert out.tolist() == [[0, 1000]] * 1000
+
+    def test_outputs_identical_at_any_worker_count(self, monkeypatch):
+        _usable_cpus(monkeypatch, 8)
+        _inline_pool(monkeypatch)
+        want = map_trial_ranges(_draw_per_item, 100, 1)
+        for n_workers in (2, 3, 8, 5000):
+            assert np.array_equal(map_trial_ranges(_draw_per_item, 100, n_workers), want)
+
+
+class TestUsableCpus:
+    def test_affinity_set_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert curvkit.parallel._usable_cpus() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert curvkit.parallel._usable_cpus() == 7
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert curvkit.parallel._usable_cpus() == 1
