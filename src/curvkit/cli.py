@@ -100,7 +100,7 @@ def _parse_str(raw: str) -> str:
 
 
 # Lower bounds: (comparison, value).  A number, or every entry of a list,
-# must satisfy it; NaN satisfies none.
+# must be finite and satisfy it.
 AT_LEAST_0, AT_LEAST_1, POSITIVE = (">=", 0), (">=", 1), (">", 0.0)
 _COMPARE = {">=": operator.ge, ">": operator.gt}
 
@@ -182,7 +182,10 @@ def _validate_config(cfg: dict) -> None:
                 continue
             op, lower = bound
             value = cfg[section][key]
-            if not all(_COMPARE[op](v, lower) for v in (value if isinstance(value, list) else [value])):
+            values = value if isinstance(value, list) else [value]
+            if not all(isinstance(v, int) or np.isfinite(v) for v in values):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value}")
+            if not all(_COMPARE[op](v, lower) for v in values):
                 raise ConfigError(f"[{section}] {key} must be {op} {lower}, got {value}")
     if cfg["arch"]["activation"] not in (IDENTITY, RELU):
         raise ConfigError(f"activation must be identity or relu, got {cfg['arch']['activation']!r}")

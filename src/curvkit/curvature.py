@@ -103,6 +103,10 @@ def curvature_projection(operator, g: np.ndarray) -> float:
     return float(unit @ mv)
 
 
+# psd_check passes eigenvalues down to -PSD_REL_THRESHOLD * ||matrix||_F.
+PSD_REL_THRESHOLD = 1e-8
+
+
 @dataclass
 class PsdReport:
     min_eigenvalue: float
@@ -110,7 +114,7 @@ class PsdReport:
     passed: bool
 
 
-def psd_check(matrix: np.ndarray, rel_threshold: float = 1e-8) -> PsdReport:
+def psd_check(matrix: np.ndarray) -> PsdReport:
     """Report the smallest eigenvalue against a scale-relative PSD threshold."""
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -120,7 +124,7 @@ def psd_check(matrix: np.ndarray, rel_threshold: float = 1e-8) -> PsdReport:
     if not asym <= 1e-8 * max(scale, 1e-300):
         raise SymmetryError(f"matrix is not symmetric: rel asymmetry {asym / max(scale, 1e-300):.3e}")
     low = float(np.linalg.eigvalsh(mat)[0])
-    threshold = -rel_threshold * scale
+    threshold = -PSD_REL_THRESHOLD * scale
     return PsdReport(low, threshold, bool(low >= threshold))
 
 

@@ -9,13 +9,14 @@ layers compose, and uses them only to skip work: a moved weight recomputes
 only the unit it feeds, from its moved row, and the activations after a
 first move are shared by every second move.  Every exact
 Hessian-vector product (hvp, output_hessian_vp) is one R-op, valid for
-identity and relu networks.  The R-op and the Gauss-Newton product ggn_vp
-share one tangent forward pass, which gives the Jacobian-vector product of
-every layer along a weight direction.  Along the loss gradient,
-gradient_curvatures adds the second-order Taylor coefficient to that pass
-and reads both parts of the curvature off the output, with no backward
-pass.  Both passes take the direction as its action v -> v D_l on each
-layer, so the Monte Carlo engine in theory runs them on stacks of networks.
+identity and relu networks.  The exact routes run one forward pass each:
+given a weight direction, batch_forward carries the first two Taylor
+coefficients of every layer along it.  The R-op and the Gauss-Newton
+product ggn_vp read the Jacobian-vector products off that pass, and
+gradient_curvatures reads both parts of the curvature along the loss
+gradient off the output's two coefficients, with no backward pass.  The
+forward pass takes the direction as its action v -> v D_l on each layer,
+so the Monte Carlo engine in theory runs it on stacks of networks too.
 The dense output Hessian is a closed form for linear networks that shares
 no kernel with the R-op; it covers a relu network on the linear piece its
 input lies in.  Its case-formula product with the gradient is for linear
@@ -73,6 +74,11 @@ HALF_SQUARED_ERROR = "half_squared_error"
 RAW_OUTPUT = "raw_output"
 
 
+# Curvature L'' of each loss kind: L(y) = c (y - t)^2 / 2 with slope c (y - t)
+# for c > 0, and the raw output L(y) = y for c = 0.
+_LOSS_CURVATURE = {SQUARED_ERROR: 2.0, HALF_SQUARED_ERROR: 1.0, RAW_OUTPUT: 0.0}
+
+
 @dataclass(frozen=True)
 class LossFunction:
     """Convex twice differentiable scalar loss of the network output.
@@ -90,36 +96,30 @@ class LossFunction:
     kind: str = SQUARED_ERROR
     target: float = 0.0
 
-    def _t(self, targets):
-        return self.target if targets is None else targets
+    def __post_init__(self):
+        if self.kind not in _LOSS_CURVATURE:
+            raise DimensionError(f"unknown loss kind {self.kind!r}; expected one of {tuple(_LOSS_CURVATURE)}")
+
+    def _residual(self, y, targets):
+        return y - (self.target if targets is None else targets)
 
     def value(self, y, targets=None):
-        if self.kind == SQUARED_ERROR:
-            return (y - self._t(targets)) ** 2
-        if self.kind == HALF_SQUARED_ERROR:
-            return 0.5 * (y - self._t(targets)) ** 2
-        return y
+        c = self.curvature_min
+        return 0.5 * c * self._residual(y, targets) ** 2 if c else y
 
     def d1(self, y, targets=None):
-        if self.kind == SQUARED_ERROR:
-            return 2.0 * (y - self._t(targets))
-        if self.kind == HALF_SQUARED_ERROR:
-            return y - self._t(targets)
+        c = self.curvature_min
+        if c:
+            return c * self._residual(y, targets)
         return np.ones_like(y) if isinstance(y, np.ndarray) else 1.0
 
     def d2(self, y, targets=None):
-        if self.kind in (SQUARED_ERROR, HALF_SQUARED_ERROR):
-            c = 2.0 if self.kind == SQUARED_ERROR else 1.0
-            return c * np.ones_like(y) if isinstance(y, np.ndarray) else c
-        return np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
+        c = self.curvature_min
+        return c * np.ones_like(y) if isinstance(y, np.ndarray) else c
 
     @property
     def curvature_min(self) -> float:
-        if self.kind == SQUARED_ERROR:
-            return 2.0
-        if self.kind == HALF_SQUARED_ERROR:
-            return 1.0
-        return 0.0
+        return _LOSS_CURVATURE[self.kind]
 
 
 def squared_error(target: float = 0.0) -> LossFunction:
@@ -570,8 +570,10 @@ def fd_hessian(
 
     Per-coordinate step h_a = eps**0.25 * (1 + |w_a|) unless an explicit
     step (finite and > 0) is given; diagonal entries use the three-point
-    stencil, off-diagonal entries the four-point stencil, and the result is
-    symmetrized: 1 + 2P + 2P(P - 1) loss evaluations.  This is the oracle
+    stencil, off-diagonal entries the four-point stencil, 1 + 2P + 2P(P - 1)
+    loss evaluations.  The result is symmetric by construction: entries
+    [a, b] and [b, a] are written from the same stencil value, so no second
+    P x P matrix is made to symmetrize it.  This is the oracle
     the exact routes are judged against, so it uses no derivative formula
     and shares no kernel with them: every value is a batch loss at w0 moved
     along one or two coordinates, from _FdStencil's own forward loop.  All
@@ -600,7 +602,7 @@ def fd_hessian(
             v = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h[a] * h[b])
             hess[a, b] = v
             hess[b, a] = v
-    return 0.5 * (hess + hess.T)
+    return hess
 
 
 # ---------------------------------------------------------------------------
@@ -622,44 +624,6 @@ def _dense_along(dirs: list[np.ndarray]):
     return lambda k, v: v @ dirs[k]
 
 
-def _tangent_forward(weights, acts, masks, along):
-    """Jacobian-vector product of every layer along a weight direction D.
-
-    Carries z'_l = a'_{l-1} W_l + a_{l-1} D_l, with the direction entering
-    only through its action along(k, v) = v D_{k+1} and the base point's relu
-    masks (None for identity) applied to a'.  acts and weights may be
-    stacked as in network._forward.  Returns the hidden tangents a'_k (list
-    index k, with None for the input, which does not move with the weights)
-    and the output tangent z'_L.
-    """
-    act_dots = [None]
-    z_dot = along(0, acts[0])
-    for k in range(1, len(weights)):
-        act_dots.append(z_dot if masks is None else z_dot * masks[k - 1])
-        z_dot = act_dots[k] @ weights[k] + along(k, acts[k])
-    return act_dots, z_dot
-
-
-def _second_order_forward(weights, acts, masks, along, act_dots) -> np.ndarray:
-    """Second Taylor coefficient of the output along a weight direction D.
-
-    Carries z''_l = a''_{l-1} W_l + 2 a'_{l-1} D_l on top of the first-order
-    tangents a' of _tangent_forward, with the same action along and the base
-    point's relu masks applied to a'' (relu'' = 0 almost everywhere).  The
-    input does not move, so z''_1 = 0 and layer 2 needs no product with W.
-    Returns z''_L, shaped like the output activations.
-    """
-    z_ddot = None
-    for k in range(1, len(weights)):
-        cross = 2.0 * along(k, act_dots[k])
-        if z_ddot is None:
-            z_ddot = cross
-        else:
-            a_ddot = z_ddot if masks is None else z_ddot * masks[k - 1]
-            z_ddot = a_ddot @ weights[k] + cross
-    return np.zeros_like(acts[-1]) if z_ddot is None else z_ddot
-
-
 def gradient_curvatures(
     net: Network, inputs, targets, loss: LossFunction, g: np.ndarray
 ) -> tuple[float, float, float]:
@@ -679,36 +643,31 @@ def gradient_curvatures(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise DirectionError("cannot project along a zero gradient")
-    along = _dense_along(_direction_layers(net, g / norm))
-    trace = batch_forward(net, x)
-    taylor = (net.weights, trace.activations, trace.masks, along)
-    act_dots, z_dot = _tangent_forward(*taylor)
-    z_ddot = _second_order_forward(*taylor, act_dots)
+    trace = batch_forward(net, x, _dense_along(_direction_layers(net, g / norm)))
     y = trace.outputs
-    gn_proj = float(np.mean(loss.d2(y, t) * z_dot[:, 0] ** 2))
-    fun_proj = float(np.mean(loss.d1(y, t) * z_ddot[:, 0]))
+    gn_proj = float(np.mean(loss.d2(y, t) * trace.output_dot**2))
+    fun_proj = float(np.mean(loss.d1(y, t) * trace.output_ddot))
     return gn_proj + fun_proj, gn_proj, fun_proj
 
 
 def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:
     """Pearlmutter's R-op: the batch-mean loss Hessian times v, exactly.
 
-    After _tangent_forward, a tangent backward pass carries the loss signals
-    d_l of _weighted_gradient together with their tangents, d'_L = L''(y) y' / N
-    and d'_{l-1} = mask * (d'_l W_l^T + d_l D_l^T).  Layer l's block is
+    After a forward pass along v, a tangent backward pass carries the loss
+    signals d_l of _weighted_gradient together with their tangents,
+    d'_L = L''(y) y' / N and d'_{l-1} = mask * (d'_l W_l^T + d_l D_l^T).  Layer l's block is
     a'_{l-1}^T d_l + a_{l-1}^T d'_l.  relu'' = 0 almost everywhere, so the base
     point's masks carry the whole relu dependence.
     """
     dirs = _direction_layers(net, v)
     weights, depth = net.weights, net.depth
-    trace = batch_forward(net, x)
-    acts, masks = trace.activations, trace.masks
-    act_dots, z_dot = _tangent_forward(weights, acts, masks, _dense_along(dirs))
+    trace = batch_forward(net, x, _dense_along(dirs))
+    acts, masks, act_dots = trace.activations, trace.masks, trace.tangents
 
     n = x.shape[0]
     y = trace.outputs
     delta = (loss.d1(y, t) / n)[:, None]
-    delta_dot = loss.d2(y, t)[:, None] * z_dot / n
+    delta_dot = loss.d2(y, t)[:, None] * trace.output_dot[:, None] / n
     blocks = [None] * depth
     for k in range(depth - 1, 0, -1):
         blocks[k] = (delta_dot.T @ acts[k] + delta.T @ act_dots[k]).reshape(-1)
@@ -722,9 +681,9 @@ def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.nda
 def hvp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> np.ndarray:
     """Exact product of the batch-mean loss Hessian with a flat direction.
 
-    One forward pass plus a tangent forward and a tangent backward pass
-    (Pearlmutter's R-op), for identity and relu networks alike; for relu it is
-    the Hessian of the smooth piece the batch lies in.  A zero direction maps
+    One forward pass along v and a tangent backward pass (Pearlmutter's
+    R-op), for identity and relu networks alike; for relu it is the Hessian
+    of the smooth piece the batch lies in.  A zero direction maps
     to the zero vector.
     """
     x = _as_batch(inputs)
@@ -736,14 +695,12 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
 
     For a scalar output the curvature part is a mean of rank-one terms, so
     the product is (1/N) sum_s L''(y_s) (g_s . v) g_s with per-sample output
-    gradients g_s.  The tangent forward pass gives every g_s . v at once as
-    the output tangent; no finite differences involved.
+    gradients g_s.  The forward pass along v gives every g_s . v at once as
+    the output's first Taylor coefficient; no finite differences involved.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    along = _dense_along(_direction_layers(net, v))
-    trace = batch_forward(net, x)
-    _, z_dot = _tangent_forward(net.weights, trace.activations, trace.masks, along)
-    coeff = loss.d2(trace.outputs, t) * z_dot[:, 0] / x.shape[0]
+    trace = batch_forward(net, x, _dense_along(_direction_layers(net, v)))
+    coeff = loss.d2(trace.outputs, t) * trace.output_dot / x.shape[0]
     return _weighted_gradient(net, trace, coeff)
 

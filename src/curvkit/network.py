@@ -1,5 +1,12 @@
 """Feedforward single-output networks: definition, forward pass, Jacobians.
 
+One layer loop, _forward, is the forward pass of every exact route:
+single inputs, batches, training probes and stacks of Monte Carlo
+networks.  Given a weight direction it also carries the first two Taylor
+coefficients of every layer along it; the Hessian-vector, Gauss-Newton and
+gradient-curvature products in diff and the Monte Carlo engine in theory
+read them off that one pass.
+
 Conventions used everywhere in the package:
 
 * Layer l maps activations of width n_{l-1} to width n_l through a weight
@@ -161,14 +168,20 @@ def init_network(
 
 @dataclass
 class BatchTrace:
-    """Activations of one forward pass, input included.
+    """Activations of one forward pass, input included, and, along a weight
+    direction, their first two Taylor coefficients.
 
     For a batch the arrays are (n_samples, width); for a single input they
-    are (width,).
+    are (width,).  Along a direction, tangents[k] is hidden layer k's a'_k
+    (None for the input), and output_dot and output_ddot are the outputs'
+    first and second directional derivatives; without one they are None.
     """
 
     activations: list[np.ndarray]
     masks: list[np.ndarray] | None = None  # active-unit masks, hidden layers only
+    tangents: list[np.ndarray | None] | None = None
+    output_dot: np.ndarray | None = None
+    output_ddot: np.ndarray | None = None
 
     @property
     def outputs(self) -> np.ndarray:
@@ -185,34 +198,62 @@ def forward(net: Network, x: np.ndarray) -> BatchTrace:
     return batch_forward(net, np.asarray(x, dtype=np.float64).reshape(-1))
 
 
-def batch_forward(net: Network, inputs: np.ndarray) -> BatchTrace:
-    """Forward one input (n_0,) or a batch (n_samples, n_0); rows are samples."""
+def batch_forward(net: Network, inputs: np.ndarray, along=None) -> BatchTrace:
+    """Forward one input (n_0,) or a batch (n_samples, n_0); rows are samples.
+
+    With along, the action of a weight direction (see _forward), the trace
+    also carries the Taylor coefficients along it.
+    """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != net.arch.widths[0]:
         raise DimensionError(
             f"input shape {x.shape} does not match input width {net.arch.widths[0]}"
         )
-    return BatchTrace(*_forward(net.weights, x, net.arch.activation == RELU))
+    return _forward(net.weights, x, net.arch.activation == RELU, along)
 
 
-def _forward(weights, x: np.ndarray, relu: bool) -> tuple[list, list | None]:
+def _forward(weights, x: np.ndarray, relu: bool, along=None) -> BatchTrace:
     """The layer loop of every forward pass: activations, input first, and
     the active-unit masks of the hidden layers (None without relu).
+
+    Given a weight direction D through its action along(k, v) = v D_{k+1},
+    it also carries the first two Taylor coefficients of every layer along
+    D (univariate Taylor mode): z'_l = a'_{l-1} W_l + a_{l-1} D_l and
+    z''_l = a''_{l-1} W_l + 2 a'_{l-1} D_l, with a' and a'' masked like a
+    (relu'' = 0 almost everywhere).  The input does not move, so z'_1 = x D_1,
+    z''_1 = 0 and z''_2 = 2 a'_1 D_2 needs no product with W.
 
     Rows of x are samples.  weights may also be stacked as (T, n_{l-1}, n_l)
     arrays, one network per leading index, with x of shape (T, rows, n_0).
     """
     acts = [x]
     masks: list[np.ndarray] | None = [] if relu else None
+    tangents = None if along is None else [None]  # the input does not move
+    z_ddot = None
     depth = len(weights)
     for l, w in enumerate(weights, start=1):
         z = acts[-1] @ w
+        if along is not None:
+            if l == 1:
+                z_dot = along(0, x)
+            else:
+                cross = 2.0 * along(l - 1, tangents[-1])
+                z_ddot = cross if z_ddot is None else z_ddot @ w + cross
+                z_dot = tangents[-1] @ w + along(l - 1, acts[-1])
         if relu and l < depth:
             mask = z > 0.0
             z = np.where(mask, z, 0.0)
             masks.append(mask.astype(np.float64))
+            if along is not None:
+                z_dot = z_dot * masks[-1]
+                z_ddot = None if z_ddot is None else z_ddot * masks[-1]
+        if along is not None and l < depth:
+            tangents.append(z_dot)
         acts.append(z)
-    return acts, masks
+    if along is None:
+        return BatchTrace(acts, masks)
+    z_ddot = np.zeros_like(z) if z_ddot is None else z_ddot  # one layer: y is linear in W
+    return BatchTrace(acts, masks, tangents, z_dot[..., 0], z_ddot[..., 0])
 
 
 def interlayer_jacobian(

@@ -19,11 +19,10 @@ results are independent of scheduling and worker count.
 The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
 once, the weights of a block of trials are stacked, and the kernels that
-also serve batches and training probes (network._forward,
-diff._output_sensitivities, diff._tangent_forward and
-diff._second_order_forward) run on the stack along the gradient and yield
-every per-trial column.  The public samplers select columns of that table.
-The gradient-norm, quadform and positivity ensembles share their seed, hence
+also serve batches and training probes (network._forward, which carries the
+Taylor coefficients along the gradient, and diff._output_sensitivities) run
+on the stack and yield every per-trial column.  The public samplers select
+columns of that table.  The gradient-norm, quadform and positivity ensembles share their seed, hence
 their networks, so they read one table, kept for the most recent McConfig:
 calling the three samplers in turn (as ``theory thm2`` does) draws each
 network once.
@@ -35,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .diff import _output_sensitivities, _second_order_forward, _tangent_forward, squared_error
+from .diff import _output_sensitivities, squared_error
 from .errors import DimensionError, DirectionError
 from .network import IDENTITY, Architecture, _forward, init_network
 from .parallel import map_trial_ranges
@@ -140,27 +139,23 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     (T, 1, n_0) input stacks.  g is the output gradient at u, and the output
     and H (the output Hessian) are taken at x = v, or at u when v is None.
 
-    The passes are the package's own: network._forward for the activations
-    y^u at u (and y at v), diff._output_sensitivities for the input-free
-    sensitivities a_k, and diff._tangent_forward and
-    diff._second_order_forward for the Taylor pass along g at x, whose
-    second coefficient is g^T H g.  What is particular to the engine is
+    The passes are the package's own: a plain network._forward for the
+    activations y^u at u, diff._output_sensitivities for the input-free
+    sensitivities a_k, and a network._forward at x along g, whose second
+    Taylor coefficient is g^T H g.  What is particular to the engine is
     g's rank-one layer blocks y^u_{k-1} (x) a_k: they give
     ||g||^2 = sum_k ||y^u_{k-1}||^2 ||a_k||^2 and the direction's action
     along(k, p) = (p . y^u_k) a_{k+1}.
     """
-    acts_u, _ = _forward(ws, u, relu=False)
-    acts = acts_u if v is None else _forward(ws, v, relu=False)[0]
+    acts_u = _forward(ws, u, relu=False).activations
     a = _output_sensitivities(ws, np.ones((u.shape[0], 1, 1)))
     g_sq = sum(_dot(acts_u[k - 1], acts_u[k - 1]) * _dot(a[k], a[k]) for k in range(1, len(ws) + 1))
 
     def along(k, p):
         return _dot(p, acts_u[k]) * a[k + 1]
 
-    taylor = (ws, acts, None, along)
-    act_dots, _ = _tangent_forward(*taylor)
-    curvature = _second_order_forward(*taylor, act_dots)
-    return acts[-1][:, 0, 0], g_sq[:, 0, 0], curvature[:, 0, 0]
+    trace = _forward(ws, u if v is None else v, relu=False, along=along)
+    return trace.outputs[:, 0], g_sq[:, 0, 0], trace.output_ddot[:, 0]
 
 
 def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.ndarray:
@@ -299,16 +294,11 @@ def grad_norm_limit(multipliers, input_norm_sq: float = 1.0) -> float:
     return sum(m[1:]) / m[0] * input_norm_sq
 
 
-def mc_grad_norm_stats(
-    cfg: McConfig,
-    multipliers=None,
-    eps_grid=DEFAULT_EPS_GRID,
-    n_workers: int = 1,
-) -> GradNormResult:
+def mc_grad_norm_stats(cfg: McConfig, multipliers=None, n_workers: int = 1) -> GradNormResult:
     """Distribution of the squared output-gradient norm at random init.
 
     The limit is the constant-shape reference value; the deviation table is
-    the empirical concentration function around it.
+    the empirical concentration function around it on DEFAULT_EPS_GRID.
     """
     if multipliers is None:
         multipliers = (1.0,) * len(cfg.widths)
@@ -316,7 +306,7 @@ def mc_grad_norm_stats(
     samples = grad_norm_samples(cfg, n_workers)
     return GradNormResult(
         McSummary.from_samples(samples),
-        DeviationTable.from_samples(samples, limit, eps_grid),
+        DeviationTable.from_samples(samples, limit),
         limit,
     )
 

@@ -535,6 +535,7 @@ class TestExitCodes:
             (["train"], "[train]\nprobe_every = -1\n", "probe_every"),
             (["train"], "[train]\nepochs = -1\n", "epochs"),
             (["train"], "[train]\nlr = nan\n", "lr"),
+            (["train"], "[train]\nlr = inf\n", "lr"),
             (["train"], "[train]\nepochs = 0\n[data]\nn_samples = 0\n", "n_samples"),
             (["sweep"], "[sweep]\nn_seeds = 0\n", "n_seeds"),
             (["sweep"], "[sweep]\nwidths = 4 0\n", "widths"),
@@ -544,12 +545,13 @@ class TestExitCodes:
             (["train"], SMALL_INIT_ONLY + "[init]\ngain = -1\n", "gain"),
             (["train"], SMALL_INIT_ONLY + "[init]\ngain = 0\n", "gain"),
             (["theory", "thm2"], "[theory]\nepsilon = 0\n", "epsilon"),
+            (["theory", "thm2"], "[theory]\ngamma = inf\n", "gamma"),
             (["theory", "thm2"],
              "[arch]\nwidths = 4 4 1\n[theory]\nepsilon = 1.0\nbeta = 0.1\n", "gradient-norm limit"),
         ],
-        ids=["batch_size", "probe_every", "epochs", "lr-nan", "n_samples", "n_seeds",
+        ids=["batch_size", "probe_every", "epochs", "lr-nan", "lr-inf", "n_samples", "n_seeds",
              "sweep-widths", "sweep-widths-empty", "gain-nan", "gain-inf", "gain-negative",
-             "gain-zero", "epsilon", "epsilon-over-beta"],
+             "gain-zero", "epsilon", "gamma-inf", "epsilon-over-beta"],
     )
     def test_value_out_of_range_is_exit_2(self, tmp_path, command, text, key):
         cfg = write_config(tmp_path / "c.ini", text)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from curvkit import (
     CapacityError,
     DimensionError,
     DirectionError,
+    LossFunction,
     Network,
     RngStream,
     batch_loss,
@@ -72,6 +75,25 @@ class TestLossFunctions:
         assert squared_error().curvature_min == 2.0
         assert half_squared_error().curvature_min == 1.0
         assert raw_output().curvature_min == 0.0
+
+    def test_values_are_the_closed_forms(self):
+        ys, t = np.linspace(-2.0, 2.0, 9), 0.3
+        sq, half, raw = squared_error(t), half_squared_error(t), raw_output()
+        assert np.array_equal(sq.value(ys), (ys - t) ** 2)
+        assert np.array_equal(sq.d1(ys), 2.0 * (ys - t))
+        assert np.array_equal(sq.d2(ys), np.full(9, 2.0))
+        assert np.array_equal(half.value(ys), 0.5 * (ys - t) ** 2)
+        assert np.array_equal(half.d1(ys), ys - t)
+        assert np.array_equal(half.d2(ys), np.ones(9))
+        assert np.array_equal(raw.value(ys), ys)
+        assert np.array_equal(raw.d1(ys), np.ones(9))
+        assert np.array_equal(raw.d2(ys), np.zeros(9))
+        assert (sq.d2(1.0), half.d2(1.0), raw.d1(1.0), raw.d2(1.0)) == (2.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["squared", "", "RAW_OUTPUT"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(DimensionError, match=f"unknown loss kind {kind!r}"):
+            LossFunction(kind)
 
     def test_per_sample_targets_override_default(self):
         loss = squared_error(0.0)
@@ -295,7 +317,22 @@ class TestFdHessian:
         net = random_net((3, 3, 1), 53)
         xs = RngStream(54, 0).generator().standard_normal((4, 3))
         h = fd_hessian(net, xs, 1.0, squared_error())
-        assert np.linalg.norm(h - h.T) == 0.0  # symmetrized by construction
+        assert np.linalg.norm(h - h.T) == 0.0  # symmetric by construction
+
+    def test_peak_memory_is_one_dense_matrix(self):
+        # [a, b] and [b, a] are written from one stencil value, so the result
+        # needs no second P x P matrix to be symmetric.
+        net = random_net((32, 32, 1), 57, "relu")
+        xs = RngStream(58, 0).generator().standard_normal((2, 32))
+        P = net.param_index.n_params
+        tracemalloc.start()
+        try:
+            h = fd_hessian(net, xs, [0.5, -0.5], squared_error())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * P * P * 8
+        assert np.array_equal(h, h.T)
 
     def test_capacity_cap(self):
         net = random_net((150, 140, 1), 55)
@@ -329,7 +366,7 @@ def loop_fd_hessian(net, xs, ts, loss, step=None):
             else:
                 assert a < b and signs == ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
                 hess[a, b] = hess[b, a] = (v[0] - v[1] - v[2] + v[3]) / (4.0 * h[a] * h[b])
-    return 0.5 * (hess + hess.T)
+    return hess
 
 
 def layer_of(index, coords):
@@ -423,8 +460,6 @@ class TestFdHessianStencil:
             (curvkit.diff, "interlayer_jacobian"),
             (curvkit.diff, "batch_forward"),
             (curvkit.diff, "_output_sensitivities"),
-            (curvkit.diff, "_tangent_forward"),
-            (curvkit.diff, "_second_order_forward"),
             (curvkit.diff, "_hessian_vp"),
         ]:
             monkeypatch.setattr(module, name, refuse)

@@ -103,7 +103,8 @@ class TestForward:
         nets = [random_net((5, 4, 3, 1), 30 + i, activation) for i in range(4)]
         xs = RngStream(31, 0).generator().standard_normal((4, rows, 5))
         stack = [np.stack(layer) for layer in zip(*(n.weights for n in nets))]
-        acts, masks = _forward(stack, xs, activation == "relu")
+        stacked = _forward(stack, xs, activation == "relu")
+        acts, masks = stacked.activations, stacked.masks
         for i, net in enumerate(nets):
             trace = batch_forward(net, xs[i])
             for got, want in zip(acts, trace.activations):
@@ -113,6 +114,74 @@ class TestForward:
                     assert np.array_equal(got[i], want)
             else:
                 assert masks is None and trace.masks is None
+
+
+def dense_along(dirs):
+    return lambda k, v: v @ dirs[k]
+
+
+def assert_same_pass(plain, along):
+    """The base point's activations and masks, bitwise."""
+    assert len(plain.activations) == len(along.activations)
+    for got, want in zip(along.activations, plain.activations):
+        assert np.array_equal(got, want)
+    if plain.masks is None:
+        assert along.masks is None
+    else:
+        assert len(plain.masks) == len(along.masks)
+        for got, want in zip(along.masks, plain.masks):
+            assert np.array_equal(got, want)
+
+
+class TestForwardAlongDirection:
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)], ids=["single", "batch"])
+    def test_direction_leaves_the_pass_unchanged(self, activation, shape):
+        net = random_net((5, 4, 3, 1), 40, activation)
+        gen = RngStream(41, 0).generator()
+        x = gen.standard_normal(shape)
+        dirs = [gen.standard_normal(w.shape) for w in net.weights]
+        plain = batch_forward(net, x)
+        along = batch_forward(net, x, dense_along(dirs))
+        assert_same_pass(plain, along)
+        assert plain.tangents is None and plain.output_dot is None and plain.output_ddot is None
+        assert along.output_dot.shape == along.output_ddot.shape == along.outputs.shape
+        assert along.tangents[0] is None and len(along.tangents) == net.depth
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_direction_leaves_the_stacked_pass_unchanged(self, activation):
+        nets = [random_net((5, 4, 3, 1), 42 + i, activation) for i in range(4)]
+        gen = RngStream(43, 0).generator()
+        xs = gen.standard_normal((4, 3, 5))
+        stack = [np.stack(layer) for layer in zip(*(n.weights for n in nets))]
+        dirs = [gen.standard_normal(w.shape) for w in stack]
+        relu = activation == "relu"
+        stacked = _forward(stack, xs, relu, dense_along(dirs))
+        assert_same_pass(_forward(stack, xs, relu), stacked)
+        for i, net in enumerate(nets):
+            one = batch_forward(net, xs[i], dense_along([d[i] for d in dirs]))
+            assert np.array_equal(stacked.output_dot[i], one.output_dot)
+            assert np.array_equal(stacked.output_ddot[i], one.output_ddot)
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("widths", [(5, 4, 3, 1), (4, 6, 1), (3, 1)])
+    def test_coefficients_are_derivatives_along_the_line(self, activation, widths):
+        # y(s) = output at W + s D: output_dot = y'(0), output_ddot = y''(0).
+        net = random_net(widths, 44, activation)
+        gen = RngStream(45, 0).generator()
+        xs = gen.standard_normal((6, widths[0]))
+        dirs = [gen.standard_normal(w.shape) for w in net.weights]
+        trace = batch_forward(net, xs, dense_along(dirs))
+
+        def y(s):
+            moved = Network(net.arch, [w + s * d for w, d in zip(net.weights, dirs)])
+            return batch_forward(moved, xs).outputs
+
+        h = 1e-4  # small enough that no relu unit switches sign
+        first = (y(h) - y(-h)) / (2.0 * h)
+        second = (y(h) - 2.0 * y(0.0) + y(-h)) / h**2
+        assert np.allclose(trace.output_dot, first, rtol=1e-6, atol=1e-6)
+        assert np.allclose(trace.output_ddot, second, rtol=1e-4, atol=1e-4)
 
 
 class TestInit:
