@@ -1,10 +1,14 @@
 """Seeded random streams and weight initializers with prescribed moments.
 
 Dense matrices and vectors are plain float64 numpy arrays throughout the
-package; this module owns how randomness enters them.
+package; this module owns how randomness enters them.  InitDistribution.sample
+either allocates its draw or fills a caller's block in place with the same
+bits: the Monte Carlo engine in theory draws trial i's weights straight into
+its block stacks that way, bit for bit what init_network draws for trial i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +79,45 @@ class InitDistribution:
     def second_moment(self) -> float:
         return 1.0 / self.fan_in
 
-    def sample(self, shape, rng: "RngStream | np.random.Generator") -> np.ndarray:
-        gen = as_generator(rng)
-        scale = 1.0 / np.sqrt(self.fan_in)
-        if self.kind == GAUSSIAN:
-            return gen.normal(0.0, scale, size=shape)
-        if self.kind == UNIFORM:
-            half_width = np.sqrt(3.0) * scale
-            return gen.uniform(-half_width, half_width, size=shape)
-        signs = gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-        return signs * scale
+    def sample(
+        self, shape, rng: "RngStream | np.random.Generator", out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Draw an array of the given shape.
 
+        With out, a C-contiguous float64 array of that shape, the draw fills
+        out in place and returns it.  Its values equal, bit for bit (signed
+        zeros included), those the allocating call returns from the same
+        generator state, and the generator advances by the same amount.
+        """
+        gen = as_generator(rng)
+        scale = 1.0 / math.sqrt(self.fan_in)  # np.sqrt's bits, without its per-call cost
+        half_width = math.sqrt(3.0) * scale  # uniform on [-h, h] has variance h^2 / 3
+        if out is None:
+            if self.kind == GAUSSIAN:
+                return gen.normal(0.0, scale, size=shape)
+            if self.kind == UNIFORM:
+                return gen.uniform(-half_width, half_width, size=shape)
+            return self._rademacher(gen, shape) * scale
+        want = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise DimensionError(
+                f"out must be a C-contiguous float64 array of shape {want}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        if self.kind == GAUSSIAN:
+            # gen.normal(0.0, scale) evaluates 0.0 + scale * z per draw.
+            gen.standard_normal(out=out)
+            out *= scale
+            out += 0.0
+        elif self.kind == UNIFORM:
+            # gen.uniform(low, high) evaluates low + (high - low) * u per draw.
+            gen.random(out=out)
+            out *= half_width - (-half_width)
+            out += -half_width
+        else:
+            np.multiply(self._rademacher(gen, shape), scale, out=out)
+        return out
+
+    @staticmethod
+    def _rademacher(gen: np.random.Generator, shape) -> np.ndarray:
+        return gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0

@@ -18,7 +18,8 @@ results are independent of scheduling and worker count.
 
 The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
-once, the weights of a block of trials are stacked, and the kernels that
+once, by InitDistribution.sample straight into the block's weight stacks
+(the same bits init_network draws for that trial), and the kernels that
 also serve batches and training probes (network._forward, which carries the
 Taylor coefficients along the gradient, and diff._output_sensitivities) run
 on the stack and yield every per-trial column.  The public samplers select
@@ -36,13 +37,13 @@ import numpy as np
 
 from .diff import _output_sensitivities, squared_error
 from .errors import DimensionError, DirectionError
-from .network import IDENTITY, Architecture, _forward, init_network
+from .network import IDENTITY, Architecture, _forward
 from .parallel import map_trial_ranges
-from .rng import AUX_STREAM, GAUSSIAN, InitDistribution, RngStream
+from .rng import AUX_STREAM, DISTRIBUTION_KINDS, GAUSSIAN, InitDistribution, RngStream
 
 # Unused here, but bench/spans.py wraps these names in this module.
 from .diff import output_gradient, output_hessian_grad_product, output_hessian_vp  # noqa: F401
-from .network import forward  # noqa: F401
+from .network import forward, init_network  # noqa: F401
 
 INPUT_FIXED = "fixed"
 INPUT_FRESH = "fresh"
@@ -62,6 +63,8 @@ class McConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if self.distribution not in DISTRIBUTION_KINDS:
+            raise DimensionError(f"unknown distribution kind: {self.distribution!r}")
         if self.input_mode not in (INPUT_FIXED, INPUT_FRESH):
             raise DimensionError(f"unknown input mode {self.input_mode!r}")
         if self.n_trials < 2:
@@ -163,16 +166,20 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
     for trials [start, stop), drawing each trial's network once.
 
     Trial i draws from RngStream(master_seed, i), in this order: the network,
-    the input u in fresh mode, then the ensemble's tail -- the second input v
-    for the cross ensemble, the +-1 target sign otherwise (cross rows carry
-    sign 0).  fixed holds the shared fixed-mode inputs (u, or u and v) and
-    is None in fresh mode.  Rows depend only on their own trial, so the
-    table does not depend on how [0, n) is split into ranges or blocks.
+    layer by layer, by InitDistribution.sample straight into the block's
+    weight stacks (the bits init_network would draw), the input u in fresh
+    mode, then the ensemble's tail -- the second input v for the cross
+    ensemble, the +-1 target sign otherwise (cross rows carry sign 0).
+    fixed holds the shared fixed-mode inputs (u, or u and v) and is None in
+    fresh mode.  Rows depend only on their own trial, so the table does not
+    depend on how [0, n) is split into ranges or blocks.
     """
     arch = cfg.architecture
     n0 = arch.widths[0]
     block = max(1, min(_trials_per_block(arch), stop - start))
-    ws = [np.empty((block, m, n)) for m, n in zip(arch.widths[:-1], arch.widths[1:])]
+    shapes = list(zip(arch.widths[:-1], arch.widths[1:]))
+    dists = [InitDistribution(cfg.distribution, m) for m, _ in shapes]
+    ws = [np.empty((block, m, n)) for m, n in shapes]
     inputs = [np.empty((block, 1, n0)) for _ in range(2 if cross else 1)]
     if fixed is not None:
         for buf, vec in zip(inputs, fixed):
@@ -183,9 +190,8 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
         t = min(block, stop - b0)
         for j in range(t):
             gen = RngStream(cfg.master_seed, b0 + j).generator()
-            net = init_network(arch, cfg.distribution, gen)
-            for stack, w in zip(ws, net.weights):
-                stack[j] = w
+            for dist, shape, stack in zip(dists, shapes, ws):
+                dist.sample(shape, gen, out=stack[j])
             if fixed is None:
                 for buf in inputs:
                     buf[j, 0] = _unit_vector(gen, n0)
@@ -261,7 +267,10 @@ class DeviationTable:
     @classmethod
     def from_samples(cls, samples, center: float, eps_grid=DEFAULT_EPS_GRID) -> "DeviationTable":
         s = np.asarray(samples, dtype=np.float64).reshape(-1)
-        grid = np.sort(np.unique(np.asarray(eps_grid, dtype=np.float64)))
+        grid = np.sort(np.asarray(eps_grid, dtype=np.float64).reshape(-1))
+        keep = np.ones(grid.size, dtype=bool)
+        keep[1:] = grid[1:] != grid[:-1]  # drop repeats (np.unique would import numpy.ma)
+        grid = grid[keep]
         dev = np.abs(s - center)
         tail = tuple(float(np.mean(dev > e)) for e in grid)
         return cls(tuple(float(e) for e in grid), tail, float(center), int(s.size))

@@ -197,12 +197,19 @@ def test_c05_estimator_contract():
 # 6 & 7: random-init statistics of the grad-aligned output-Hessian quadform
 # ---------------------------------------------------------------------------
 
+# Worker processes for the Monte Carlo criteria 6-9.  Trials are keyed by
+# (master_seed, trial_index), so every sample, hence every criterion line,
+# is identical at any worker count.
+MC_WORKERS = 2
+
 
 def test_c06_quadform_zero_mean():
     details = []
     passed = True
     for widths in ((16, 16, 16, 16, 1), (64, 64, 64, 64, 1)):
-        s = ck.mc_quadform_stats(ck.McConfig(widths=widths, n_trials=20_000, master_seed=0))
+        s = ck.mc_quadform_stats(
+            ck.McConfig(widths=widths, n_trials=20_000, master_seed=0), n_workers=MC_WORKERS
+        )
         t_stat = abs(s.mean) / s.stderr
         passed &= t_stat <= 4.0
         details.append(f"widths {widths[0]}: |mean|/stderr = {t_stat:.2f}")
@@ -214,7 +221,9 @@ def test_c07a_variance_scaling_constant_width():
     variances = {}
     for n in (16, 32, 64):
         widths = (n, n, n, n, 1)
-        samples = ck.quadform_samples(ck.McConfig(widths=widths, n_trials=20_000, master_seed=11))
+        samples = ck.quadform_samples(
+            ck.McConfig(widths=widths, n_trials=20_000, master_seed=11), n_workers=MC_WORKERS
+        )
         variances[n] = (float(np.var(samples, ddof=1)), ck.predicted_variance_scale(widths))
     devs = []
     for a, b in ((16, 32), (32, 64)):
@@ -234,7 +243,9 @@ def test_c07b_variance_scaling_input_width():
     variances = {}
     for n0 in (16, 32, 64):
         widths = (n0,) + (32,) * 7 + (1,)
-        samples = ck.quadform_samples(ck.McConfig(widths=widths, n_trials=20_000, master_seed=12))
+        samples = ck.quadform_samples(
+            ck.McConfig(widths=widths, n_trials=20_000, master_seed=12), n_workers=MC_WORKERS
+        )
         variances[n0] = float(np.var(samples, ddof=1))
     decreasing = variances[16] > variances[32] > variances[64]
     ratios = [variances[16] / variances[32], variances[32] / variances[64]]
@@ -259,9 +270,11 @@ def test_c08_curvature_probability_bound():
         widths = (n, n, n, n, 1)
         multipliers = (1.0,) * 5
         norm_result = ck.mc_grad_norm_stats(
-            ck.McConfig(widths=widths, n_trials=2000, master_seed=41), multipliers
+            ck.McConfig(widths=widths, n_trials=2000, master_seed=41), multipliers, n_workers=MC_WORKERS
         )
-        qf = ck.quadform_samples(ck.McConfig(widths=widths, n_trials=2000, master_seed=42))
+        qf = ck.quadform_samples(
+            ck.McConfig(widths=widths, n_trials=2000, master_seed=42), n_workers=MC_WORKERS
+        )
         gamma_fit = ck.backfit_variance_constant(float(np.var(qf, ddof=1)), multipliers, n)
         bound = ck.positive_curvature_bound(
             ck.CurvatureBoundParams(
@@ -275,7 +288,7 @@ def test_c08_curvature_probability_bound():
             )
         )
         pos = ck.mc_curvature_positivity(
-            ck.McConfig(widths=widths, n_trials=2000, master_seed=43), epsilon
+            ck.McConfig(widths=widths, n_trials=2000, master_seed=43), epsilon, n_workers=MC_WORKERS
         )
         if bound > 0:
             margin = 1.645 * np.sqrt(bound * (1.0 - bound) / 2000) if bound < 1.0 else 0.0
@@ -294,13 +307,15 @@ def test_c08_curvature_probability_bound():
 
 def test_c09_grad_norm_preservation():
     result_256 = ck.mc_grad_norm_stats(
-        ck.McConfig(widths=(256, 256, 256, 256, 1), n_trials=5000, master_seed=31)
+        ck.McConfig(widths=(256, 256, 256, 256, 1), n_trials=5000, master_seed=31),
+        n_workers=MC_WORKERS,
     )
     rel = abs(result_256.summary.mean - 4.0) / 4.0
     mean_ok = rel <= 0.10
 
     result_64 = ck.mc_grad_norm_stats(
-        ck.McConfig(widths=(64, 64, 64, 64, 1), n_trials=5000, master_seed=31)
+        ck.McConfig(widths=(64, 64, 64, 64, 1), n_trials=5000, master_seed=31),
+        n_workers=MC_WORKERS,
     )
     probes = [0.1, 0.2, 0.5, 1.0]
     pairs = [(result_64.deviation.tail_prob(e), result_256.deviation.tail_prob(e)) for e in probes]

@@ -89,3 +89,39 @@ def test_dimension_errors():
         InitDistribution("poisson", 3)
     with pytest.raises(DimensionError):
         InitDistribution(GAUSSIAN, 0)
+
+
+@pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM, RADEMACHER])
+@pytest.mark.parametrize("fan_in", [1, 3, 16, 64, 257])
+@pytest.mark.parametrize("shape", [(5,), (1, 1), (16, 4), (3, 7, 2)])
+def test_sample_into_out_matches_allocating_call_bitwise(kind, fan_in, shape):
+    dist = InitDistribution(kind, fan_in)
+    for seed in range(4):
+        gen_alloc, gen_out = RngStream(seed, 9).generator(), RngStream(seed, 9).generator()
+        expected = dist.sample(shape, gen_alloc)
+        out = np.full(shape, np.nan)
+        assert dist.sample(shape, gen_out, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        # Both generators advanced by the same amount.
+        assert gen_alloc.random() == gen_out.random()
+
+
+def test_sample_into_out_accepts_integer_shape():
+    dist = InitDistribution(GAUSSIAN, 4)
+    out = np.empty(6)
+    dist.sample(6, RngStream(2, 0), out=out)
+    assert out.tobytes() == dist.sample(6, RngStream(2, 0)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((4, 3)),  # wrong shape
+        np.empty((3, 4), dtype=np.float32),  # wrong dtype
+        np.empty((4, 3)).T,  # right shape, not C-contiguous
+        np.empty((3, 8))[:, ::2],  # strided view
+    ],
+)
+def test_sample_into_bad_out_raises(out):
+    with pytest.raises(DimensionError):
+        InitDistribution(GAUSSIAN, 3).sample((3, 4), RngStream(0, 0), out=out)

@@ -30,13 +30,13 @@ from curvkit.diff import (
     squared_error,
 )
 from curvkit.network import forward
-from curvkit.rng import AUX_STREAM
-import curvkit.theory
+from curvkit.rng import AUX_STREAM, InitDistribution
 from curvkit.theory import (
     _QUADFORM,
     _fixed_inputs,
     _mc_chunk,
     _shared_table,
+    _taylor_columns,
     _trials_per_block,
     _unit_vector,
     cross_sample_samples,
@@ -113,6 +113,36 @@ class TestBatchedColumnsOracle:
             ]
         for values, reference in checks:
             assert _normwise(values, reference) <= 1e-12
+
+
+def _per_trial_network_table(cfg, cross):
+    """The engine's table from networks drawn one per trial by init_network,
+    stacked and passed to _taylor_columns in one block."""
+    fixed = _fixed_inputs(cfg, 2 if cross else 1)
+    nets, inputs, signs = [], [], []
+    for i in range(cfg.n_trials):
+        gen = RngStream(cfg.master_seed, i).generator()
+        nets.append(init_network(cfg.architecture, cfg.distribution, gen))
+        inputs.append(fixed or [_unit_vector(gen, cfg.widths[0]) for _ in range(2 if cross else 1)])
+        signs.append(0.0 if cross else float(gen.integers(0, 2)) * 2.0 - 1.0)
+    ws = [np.stack([net.weights[k] for net in nets]) for k in range(cfg.architecture.depth)]
+    xs = [np.stack([pair[m] for pair in inputs])[:, None, :] for m in range(len(inputs[0]))]
+    return np.column_stack([*_taylor_columns(ws, *xs), signs])
+
+
+class TestStackDraws:
+    """Weights drawn straight into the block stacks equal the per-trial networks."""
+
+    @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
+    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
+    @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_chunk_matches_per_trial_networks(self, widths, input_mode, distribution, cross):
+        cfg = McConfig(widths=widths, distribution=distribution, input_mode=input_mode,
+                       n_trials=12, master_seed=23)
+        assert _trials_per_block(cfg.architecture) >= cfg.n_trials  # one block, as the reference
+        chunk = _mc_chunk(cfg, _fixed_inputs(cfg, 2 if cross else 1), cross, 0, cfg.n_trials)
+        assert np.array_equal(chunk, _per_trial_network_table(cfg, cross))
 
 
 class TestPredictedScale:
@@ -195,19 +225,20 @@ class TestQuadform:
             alone.append(sampler(cfg))
         _shared_table.cache_clear()
         draws = []
+        sample = InitDistribution.sample
 
-        def counting_init(*args):
-            draws.append(args)
-            return init_network(*args)
+        def counting_sample(self, *args, **kwargs):
+            draws.append(self.fan_in)
+            return sample(self, *args, **kwargs)
 
-        monkeypatch.setattr(curvkit.theory, "init_network", counting_init)
+        monkeypatch.setattr(InitDistribution, "sample", counting_sample)
         together = [grad_norm_samples(cfg), quadform_samples(cfg), positivity_samples(cfg, 0.5)]
-        assert len(draws) == cfg.n_trials
+        assert draws == list(cfg.widths[:-1]) * cfg.n_trials  # one network per trial
         for a, b in zip(alone, together):
             assert np.array_equal(a, b)
         together[1][:] = 0.0  # callers get copies, not the shared table
         assert np.array_equal(quadform_samples(cfg), alone[1])
-        assert len(draws) == cfg.n_trials
+        assert len(draws) == cfg.n_trials * cfg.architecture.depth
 
     def test_fresh_inputs_change_samples(self):
         fixed = McConfig(widths=(6, 6, 1), n_trials=32, master_seed=5, input_mode="fixed")
@@ -240,6 +271,14 @@ class TestGradNorm:
         assert table.tail_prob(0.25) == 0.75
         assert table.tail_prob(0.5) == 0.75  # floor lookup, never optimistic
         assert table.tail_prob(10.0) == 0.25
+
+    def test_deviation_grid_sorted_and_deduplicated(self):
+        samples = np.array([0.0, 0.3, 0.5, 1.0, 2.0, -0.7])
+        grid = (1.5, 0.25, 0.75, 0.25, 1.5, 0.0, -0.0, 0.75)
+        table = DeviationTable.from_samples(samples, center=0.1, eps_grid=grid)
+        assert table == DeviationTable.from_samples(samples, center=0.1, eps_grid=np.unique(grid))
+        assert table.eps == (0.0, 0.25, 0.75, 1.5)
+        assert table.tail == (1.0, 4 / 6, 3 / 6, 1 / 6)
 
 
 class TestBound:
@@ -393,6 +432,10 @@ class TestMcConfig:
             McConfig(widths=(4, 4, 1), n_trials=1)
         with pytest.raises(DimensionError):
             McConfig(widths=(4, 4, 1), n_trials=10, input_mode="sometimes")
+
+    def test_unknown_distribution_refused_at_construction(self):
+        with pytest.raises(DimensionError, match="cauchy"):
+            McConfig(widths=(4, 4, 1), n_trials=10, distribution="cauchy")
 
     def test_grad_norm_multiplier_default(self):
         cfg = McConfig(widths=(16, 16, 16, 1), n_trials=50, master_seed=19)
