@@ -2,9 +2,9 @@
 
 Dense matrices and vectors are plain float64 numpy arrays throughout the
 package; this module owns how randomness enters them.  InitDistribution.sample
-either allocates its draw or fills a caller's block in place with the same
-bits: the Monte Carlo engine in theory draws trial i's weights straight into
-its block stacks that way, bit for bit what init_network draws for trial i.
+fills either a new array or a caller's block in place, with the same bits
+either way: the Monte Carlo engine in theory draws trial i's weights straight
+into its block stacks, bit for bit what init_network draws for trial i.
 """
 from __future__ import annotations
 
@@ -82,26 +82,21 @@ class InitDistribution:
     def sample(
         self, shape, rng: "RngStream | np.random.Generator", out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Draw an array of the given shape.
+        """Draw an array of the given shape into out, or into a new array.
 
-        With out, a C-contiguous float64 array of that shape, the draw fills
-        out in place and returns it.  Its values equal, bit for bit (signed
-        zeros included), those the allocating call returns from the same
-        generator state, and the generator advances by the same amount.
+        out, if given, must be a C-contiguous float64 array of that shape; it
+        is filled in place and returned.  Either way the values are, bit for
+        bit (signed zeros included), those of gen.normal(0.0, scale) or
+        gen.uniform(-h, h) from the same generator state, and the generator
+        advances by the same amount.
         """
         gen = as_generator(rng)
-        scale = 1.0 / math.sqrt(self.fan_in)  # np.sqrt's bits, without its per-call cost
-        half_width = math.sqrt(3.0) * scale  # uniform on [-h, h] has variance h^2 / 3
+        scale = 1.0 / math.sqrt(self.fan_in)
         if out is None:
-            if self.kind == GAUSSIAN:
-                return gen.normal(0.0, scale, size=shape)
-            if self.kind == UNIFORM:
-                return gen.uniform(-half_width, half_width, size=shape)
-            return self._rademacher(gen, shape) * scale
-        want = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
+            out = np.empty(shape)
+        elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
             raise DimensionError(
-                f"out must be a C-contiguous float64 array of shape {want}, "
+                f"out must be a C-contiguous float64 array of shape {tuple(shape)}, "
                 f"got {out.dtype} {out.shape}"
             )
         if self.kind == GAUSSIAN:
@@ -111,13 +106,11 @@ class InitDistribution:
             out += 0.0
         elif self.kind == UNIFORM:
             # gen.uniform(low, high) evaluates low + (high - low) * u per draw.
+            half_width = math.sqrt(3.0) * scale  # uniform on [-h, h] has variance h^2 / 3
             gen.random(out=out)
             out *= half_width - (-half_width)
             out += -half_width
         else:
-            np.multiply(self._rademacher(gen, shape), scale, out=out)
+            signs = gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+            np.multiply(signs, scale, out=out)
         return out
-
-    @staticmethod
-    def _rademacher(gen: np.random.Generator, shape) -> np.ndarray:
-        return gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0

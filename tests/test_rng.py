@@ -91,26 +91,31 @@ def test_dimension_errors():
         InitDistribution(GAUSSIAN, 0)
 
 
+def numpy_draw(kind, fan_in, shape, gen):
+    """The weights numpy's own samplers draw for InitDistribution(kind, fan_in)."""
+    scale = 1.0 / np.sqrt(fan_in)
+    if kind == GAUSSIAN:
+        return gen.normal(0.0, scale, size=shape)
+    if kind == UNIFORM:
+        half_width = np.sqrt(3.0) * scale
+        return gen.uniform(-half_width, half_width, size=shape)
+    return (gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0) * scale
+
+
 @pytest.mark.parametrize("kind", [GAUSSIAN, UNIFORM, RADEMACHER])
 @pytest.mark.parametrize("fan_in", [1, 3, 16, 64, 257])
 @pytest.mark.parametrize("shape", [(5,), (1, 1), (16, 4), (3, 7, 2)])
-def test_sample_into_out_matches_allocating_call_bitwise(kind, fan_in, shape):
+def test_sample_matches_numpy_draw_bitwise(kind, fan_in, shape):
     dist = InitDistribution(kind, fan_in)
     for seed in range(4):
-        gen_alloc, gen_out = RngStream(seed, 9).generator(), RngStream(seed, 9).generator()
-        expected = dist.sample(shape, gen_alloc)
+        gen_ref, gen_new, gen_out = (RngStream(seed, 9).generator() for _ in range(3))
+        expected = numpy_draw(kind, fan_in, shape, gen_ref)
+        assert dist.sample(shape, gen_new).tobytes() == expected.tobytes()
         out = np.full(shape, np.nan)
         assert dist.sample(shape, gen_out, out=out) is out
         assert out.tobytes() == expected.tobytes()
-        # Both generators advanced by the same amount.
-        assert gen_alloc.random() == gen_out.random()
-
-
-def test_sample_into_out_accepts_integer_shape():
-    dist = InitDistribution(GAUSSIAN, 4)
-    out = np.empty(6)
-    dist.sample(6, RngStream(2, 0), out=out)
-    assert out.tobytes() == dist.sample(6, RngStream(2, 0)).tobytes()
+        # Every generator advanced by the same amount.
+        assert gen_ref.random() == gen_new.random() == gen_out.random()
 
 
 @pytest.mark.parametrize(
