@@ -2,8 +2,15 @@
 
 Commands: check (oracle-equivalence suite), theory (Monte Carlo claim
 checks), train (one logged run), sweep (width x seed grid).  A single INI
-config file is the source of truth; flags override individual keys and the
-manifest written next to every output records the merged result.
+config file is the source of truth; flags override individual keys.
+
+main owns each run's lifecycle.  A configuration error (a malformed or
+invalid config, an unusable output directory, or inputs the command refuses)
+exits 2 and writes no manifest.  Past configuration, main times the command
+and writes the one manifest.json, an aborted run included: the merged config,
+the timing and the command's results.  A divergence or a zero gradient aborts
+with exit 3 and records its cause under "aborted"; only train flushes the
+partial runlog.csv it reached.
 
 Exit codes: 0 success, 1 check or statistical failure, 2 configuration
 error, 3 runtime abort.
@@ -161,7 +168,10 @@ def load_config(path: str | None) -> dict:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
@@ -216,7 +226,10 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict, started
 
 def _prepare_out(cfg: dict, override: str | None) -> Path:
     out_dir = Path(override if override is not None else cfg["out"]["directory"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc.strerror}") from exc
     cfg["out"]["directory"] = str(out_dir)
     return out_dir
 
@@ -298,8 +311,8 @@ def _run_checks(net: Network, cfg: dict) -> list[dict]:
     return checks
 
 
-def cmd_check(cfg: dict, weights_path: str | None, out_dir: Path) -> int:
-    started = time.perf_counter()
+def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+    weights_path = args.weights
     if weights_path is not None:
         try:
             net = load_network(weights_path, strict=False)
@@ -330,12 +343,11 @@ def cmd_check(cfg: dict, weights_path: str | None, out_dir: Path) -> int:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}")
     failures = [c for c in checks if not c["passed"]]
     (out_dir / "check_report.json").write_text(json.dumps(checks, indent=2) + "\n")
-    _write_manifest(out_dir, "check", cfg, {"n_failures": len(failures)}, started)
     if failures:
         print(f"FAILED: first failing check is {failures[0]['name']}", file=sys.stderr)
-        return 1
-    print("all checks passed")
-    return 0
+    else:
+        print("all checks passed")
+    return (1 if failures else 0), {"n_failures": len(failures)}
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +386,8 @@ def _require_constant_shape(widths: tuple[int, ...]) -> None:
         raise ConfigError("this subcommand expects constant-shape widths (all equal except the output)")
 
 
-def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
-    started = time.perf_counter()
+def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+    sub, threads = args.subcommand, args.threads
     mc = _mc_config(cfg)
     tcfg = cfg["theory"]
     passed = True
@@ -477,7 +489,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
         print("identities report written (informational, no pass/fail)")
         extra = {"n_rows": len(report.rows)}
 
-    elif sub == "cross":
+    else:  # cross
         summary = mc_cross_sample_stats(mc, threads)
         ratio, passed, extra = _zero_mean_gate(summary, tcfg["stderr_sigmas"])
         second_moment = summary.variance + summary.mean**2
@@ -490,12 +502,7 @@ def cmd_theory(sub: str, cfg: dict, out_dir: Path, threads: int) -> int:
             [[" ".join(map(str, mc.widths)), summary.n_trials, summary.mean, summary.stderr,
               ratio, second_moment, predicted, passed]],
         )
-
-    else:
-        raise ConfigError(f"unknown theory subcommand {sub!r}")
-
-    _write_manifest(out_dir, f"theory {sub}", cfg, extra, started)
-    return 0 if passed else 1
+    return (0 if passed else 1), extra
 
 
 def _write_deviation(path, table) -> None:
@@ -544,67 +551,35 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def cmd_train(cfg: dict, out_dir: Path) -> int:
-    started = time.perf_counter()
+def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
     tc = _train_config(cfg)
     dataset = generate_dataset(cfg["data"]["n_samples"], tc.architecture.widths[0], tc.data_seed)
     save_dataset(dataset, out_dir / "dataset.csv")
     net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
                        rectifier_gain=tc.effective_init_gain)
-    try:
-        log = sgd_train(net, dataset, tc)
-    except DivergenceError as exc:
-        if exc.partial_log is not None:
-            exc.partial_log.to_csv(out_dir / "runlog.csv")
-        _write_manifest(out_dir, "train", cfg, {"aborted": str(exc)}, started)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
+    log = sgd_train(net, dataset, tc)
     log.to_csv(out_dir / "runlog.csv")
     save_network(net, out_dir / "network_final.txt")
-    _write_manifest(
-        out_dir,
-        "train",
-        cfg,
-        {
-            "final_loss": log.final_loss,
-            "positivity_fraction": log.positivity_fraction(),
-            "n_steps": len(log.records),
-            "wall_time_s": log.wall_time_s,
-        },
-        started,
-    )
     print(f"final loss {log.final_loss:.6f}, positivity {log.positivity_fraction():.3f}")
-    return 0
+    return 0, {
+        "final_loss": log.final_loss,
+        "positivity_fraction": log.positivity_fraction(),
+        "n_steps": len(log.records),
+        "wall_time_s": log.wall_time_s,
+    }
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, threads: int) -> int:
-    started = time.perf_counter()
-    base = _train_config(cfg)
-    widths = cfg["sweep"]["widths"]
-    n_seeds = cfg["sweep"]["n_seeds"]
-    try:
-        report = width_sweep(base, widths, n_seeds, cfg["data"]["n_samples"], threads)
-    except (DivergenceError, DirectionError) as exc:
-        _write_manifest(out_dir, "sweep", cfg, {"aborted": str(exc)}, started)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
+def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+    report = width_sweep(_train_config(cfg), cfg["sweep"]["widths"], cfg["sweep"]["n_seeds"],
+                         cfg["data"]["n_samples"], args.threads)
     report.to_csv(out_dir / "sweep.csv")
     means = report.mean_init_functional_abs()
-    _write_manifest(
-        out_dir,
-        "sweep",
-        cfg,
-        {
-            "verdict": report.verdict,
-            "mean_init_H_proj_abs": {str(w): means[w] for w in report.widths},
-            "dataset_seeds": {str(w): s for w, s in report.dataset_seeds.items()},
-        },
-        started,
-    )
     print(f"verdict: {report.verdict}")
-    if report.verdict == "not-decreasing":
-        return 1
-    return 0
+    return (1 if report.verdict == "not-decreasing" else 0), {
+        "verdict": report.verdict,
+        "mean_init_H_proj_abs": {str(w): means[w] for w in report.widths},
+        "dataset_seeds": {str(w): s for w, s in report.dataset_seeds.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each command writes its own outputs and returns (exit code, manifest results).
+COMMANDS = {"check": cmd_check, "theory": cmd_theory, "train": cmd_train, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = f"theory {args.subcommand}" if args.command == "theory" else args.command
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -651,21 +631,20 @@ def main(argv=None) -> int:
                 cfg["init"]["seed"] = args.seed
             _validate_config(cfg)
         out_dir = _prepare_out(cfg, args.out)
-        if args.command == "check":
-            return cmd_check(cfg, args.weights, out_dir)
-        if args.command == "theory":
-            return cmd_theory(args.subcommand, cfg, out_dir, args.threads)
-        if args.command == "train":
-            return cmd_train(cfg, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out_dir, args.threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+        started = time.perf_counter()
+        try:
+            code, results = COMMANDS[args.command](args, cfg, out_dir)
+        except (DivergenceError, DirectionError) as exc:
+            partial_log = getattr(exc, "partial_log", None)
+            if partial_log is not None:
+                partial_log.to_csv(out_dir / "runlog.csv")
+            print(f"aborted: {exc}", file=sys.stderr)
+            code, results = 3, {"aborted": str(exc)}
+        _write_manifest(out_dir, command, cfg, results, started)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, DirectionError) as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def load_dataset(path, seed: int = -1) -> Dataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Vanilla-SGD run description; every field participates in the manifest."""
+    """Vanilla-SGD run description."""
 
     architecture: Architecture
     loss: LossFunction = field(default_factory=squared_error)
@@ -149,7 +149,6 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 class RunLog:
     records: list[CurvatureRecord]
     epoch_losses: list[float]
-    config: dict
     wall_time_s: float = 0.0
 
     @property
@@ -234,7 +233,6 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     probe_every = cfg.probe_every if cfg.probe_every > 0 else steps_per_epoch
     records: list[CurvatureRecord] = []
     epoch_losses: list[float] = []
-    config_echo = _config_echo(cfg, dataset)
     initial_loss: float | None = None
     step = 0
     index = net.param_index
@@ -281,7 +279,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
             # Written so that a NaN loss, which fails every comparison, aborts too.
             if not loss_after <= cfg.divergence_ratio * max(initial_loss, 1e-300):
                 partial = RunLog(records, epoch_losses + [float(np.mean(step_losses))],
-                                 config_echo, time.perf_counter() - start_time)
+                                 time.perf_counter() - start_time)
                 cause = (f"exceeded {cfg.divergence_ratio:.1e} x initial {initial_loss:.3e}"
                          if np.isfinite(loss_after) else "is not finite")
                 raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step - 1}",
@@ -292,25 +290,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
         if not np.isfinite(loss):
             raise DivergenceError(f"initial loss {loss:.3e} is not finite")
         epoch_losses.append(loss)
-    return RunLog(records, epoch_losses, config_echo, time.perf_counter() - start_time)
-
-
-def _config_echo(cfg: TrainConfig, dataset: Dataset) -> dict:
-    return {
-        "widths": list(cfg.architecture.widths),
-        "activation": cfg.architecture.activation,
-        "loss": cfg.loss.kind,
-        "learning_rate": cfg.learning_rate,
-        "halve_at": list(cfg.halve_at),
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "probe_every": cfg.probe_every,
-        "data_seed": cfg.data_seed,
-        "init_seed": cfg.init_seed,
-        "distribution": cfg.distribution,
-        "init_gain": cfg.effective_init_gain,
-        "n_samples": dataset.n_samples,
-    }
+    return RunLog(records, epoch_losses, time.perf_counter() - start_time)
 
 
 # ---------------------------------------------------------------------------
@@ -357,45 +337,44 @@ def _sweep_config(base: TrainConfig, width: int, seed_index: int) -> TrainConfig
     return replace(base, architecture=arch, init_seed=base.init_seed + seed_index)
 
 
+def _sweep_cell(base: TrainConfig, n_samples: int, width: int, seed_index: int) -> SweepCell:
+    cfg = _sweep_config(base, width, seed_index)
+    dataset = generate_dataset(n_samples, width, cfg.data_seed)
+    net = init_network(cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
+                       rectifier_gain=cfg.effective_init_gain)
+    if cfg.epochs > 0:
+        log = sgd_train(net, dataset, cfg)
+        probed = log.probed()
+        if not probed:
+            raise DirectionError("every probed step had a zero gradient")
+        first = probed[0]
+        return SweepCell(width, seed_index, abs(first.functional_proj), first.hessian_proj,
+                         log.final_loss, log.positivity_fraction())
+    with np.errstate(over="ignore", invalid="ignore"):  # as in sgd_train
+        rec = initial_probe(net, dataset, cfg)
+        full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
+    if not np.all(np.isfinite([full_loss, rec.hessian_proj, rec.functional_proj])):
+        raise DivergenceError(
+            f"initial loss {full_loss:.3e}, Hess_proj {rec.hessian_proj:.3e}, "
+            f"H_proj {rec.functional_proj:.3e}: the initial result is not finite"
+        )
+    return SweepCell(width, seed_index, abs(rec.functional_proj), rec.hessian_proj,
+                     full_loss, float(rec.hessian_proj >= 0.0))
+
+
 def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, order, start, stop):
-    """The cells order[start:stop]; flat cell f is (widths[f // n_seeds], f % n_seeds)."""
+    """The cells order[start:stop]; flat cell f is (widths[f // n_seeds], f % n_seeds).
+
+    A failing cell's error names the cell and carries no partial log: a
+    sweep writes no run log.
+    """
     cells = []
     for flat in order[start:stop]:
-        width = widths[flat // n_seeds]
-        seed_index = flat % n_seeds
-        cfg = _sweep_config(base, width, seed_index)
-        dataset = generate_dataset(n_samples, width, cfg.data_seed)
-        net = init_network(cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
-                           rectifier_gain=cfg.effective_init_gain)
-        if cfg.epochs > 0:
-            log = sgd_train(net, dataset, cfg)
-            probed = log.probed()
-            if not probed:
-                raise DirectionError(
-                    f"width {width}, seed {seed_index}: every probed step had a zero gradient"
-                )
-            first = probed[0]
-            cells.append(
-                SweepCell(width, seed_index, abs(first.functional_proj), first.hessian_proj,
-                          log.final_loss, log.positivity_fraction())
-            )
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in sgd_train
-                try:
-                    rec = initial_probe(net, dataset, cfg)
-                except DirectionError as exc:
-                    raise DirectionError(f"width {width}, seed {seed_index}: {exc}") from exc
-                full_loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
-            if not np.all(np.isfinite([full_loss, rec.hessian_proj, rec.functional_proj])):
-                raise DivergenceError(
-                    f"width {width}, seed {seed_index}: initial loss {full_loss:.3e}, "
-                    f"Hess_proj {rec.hessian_proj:.3e}, H_proj {rec.functional_proj:.3e}: "
-                    "the initial result is not finite"
-                )
-            cells.append(
-                SweepCell(width, seed_index, abs(rec.functional_proj), rec.hessian_proj,
-                          full_loss, float(rec.hessian_proj >= 0.0))
-            )
+        width, seed_index = widths[flat // n_seeds], flat % n_seeds
+        try:
+            cells.append(_sweep_cell(base, n_samples, width, seed_index))
+        except (DivergenceError, DirectionError) as exc:
+            raise type(exc)(f"width {width}, seed {seed_index}: {exc}") from exc
     out = np.empty(len(cells), dtype=object)
     out[:] = cells
     return out

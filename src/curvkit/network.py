@@ -133,9 +133,6 @@ class Network:
     def with_params(self, vec: np.ndarray) -> "Network":
         return Network(self.arch, [w.copy() for w in self.param_index.unflatten(vec)])
 
-    def copy(self) -> "Network":
-        return Network(self.arch, [w.copy() for w in self.weights])
-
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(w)) for w in self.weights)
 

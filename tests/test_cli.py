@@ -8,8 +8,9 @@ import pytest
 
 import curvkit
 from cli_env import child_env
-from curvkit import Architecture, ConfigError, RngStream, init_network, save_network
-from curvkit.cli import default_config, load_config
+from curvkit import Architecture, ConfigError, DirectionError, RngStream, init_network, save_network
+from curvkit import cli
+from curvkit.cli import THEORY_SUBCOMMANDS, default_config, load_config
 from curvkit.tables import read_csv
 
 
@@ -334,6 +335,20 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
         assert "not finite" in json.loads((out / "manifest.json").read_text())["aborted"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_diverging_cell_names_width_and_seed(self, tmp_path, threads):
+        text = TRAIN.format(lr="1000") + "\n[sweep]\nwidths = 6\nn_seeds = 2\n"
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        result = run_cli("sweep", "--config", cfg, "--out", str(out), "--threads", threads, cwd=tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert "aborted: width 6, seed 0: loss " in result.stderr
+        assert "Traceback" not in result.stderr
+        aborted = json.loads((out / "manifest.json").read_text())["aborted"]
+        assert aborted.startswith("width 6, seed 0: loss ") and "exceeded" in aborted
+        # A sweep writes no run log, not even the diverging cell's partial one.
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
 
 # Cheap to run should a bad value slip through validation.
 SMALL_INIT_ONLY = "[arch]\nwidths = 4 4 1\n[train]\nepochs = 0\n[sweep]\nwidths = 4\nn_seeds = 1\n"
@@ -580,3 +595,81 @@ class TestExitCodes:
         result = run_cli("check", "--config", cfg, cwd=tmp_path)
         assert result.returncode == 2
         assert "config error" in result.stderr
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[arch]\nwidths = 4 4 1\nwidths = 3 1\n", b"widths = 4 4 1\n", b"\xff\xfe[arch]\n"],
+        ids=["duplicate-key", "no-section-header", "utf16-bom"],
+    )
+    def test_unparsable_config_is_exit_2(self, tmp_path, content):
+        path = tmp_path / "c.ini"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        result = run_cli("check", "--config", str(path), "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"config error: cannot parse config file {path}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["existing-file", "under-a-file"])
+    def test_unusable_out_is_exit_2(self, tmp_path, out):
+        (tmp_path / "taken").write_text("kept\n")
+        result = run_cli("check", "--out", str(tmp_path / out), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert f"config error: cannot use output directory {tmp_path / out}" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+# Small enough for every command form to run in about a second; the widths are
+# constant-shape, as theory thm2 and norm require.
+TINY = """
+[arch]
+widths = 4 4 4 1
+
+[mc]
+trials = 20
+
+[train]
+epochs = 1
+batch_size = 10
+
+[data]
+n_samples = 20
+
+[sweep]
+widths = 4
+n_seeds = 1
+"""
+
+COMMAND_FORMS = [["check"], ["train"], ["sweep"]] + [["theory", sub] for sub in THEORY_SUBCOMMANDS]
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("command", COMMAND_FORMS, ids=" ".join)
+    def test_every_command_writes_one_manifest(self, tmp_path, command, capsys):
+        cfg = write_config(tmp_path / "c.ini", TINY)
+        out = tmp_path / "out"
+        code = cli.main([*command, "--config", cfg, "--out", str(out)])
+        assert code in (0, 1), capsys.readouterr().err
+        assert list(tmp_path.rglob("manifest.json")) == [out / "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == " ".join(command)
+        assert manifest["timing_s"] >= 0.0
+        assert "aborted" not in manifest
+
+    def test_aborted_theory_writes_manifest(self, tmp_path, monkeypatch, capsys):
+        def zero_direction(*args, **kwargs):
+            raise DirectionError("zero-norm direction")
+
+        monkeypatch.setattr(cli, "mc_quadform_stats", zero_direction)
+        cfg = write_config(tmp_path / "c.ini", TINY)
+        out = tmp_path / "out"
+        code = cli.main(["theory", "thm1", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        assert "aborted: zero-norm direction" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "theory thm1"
+        assert manifest["aborted"] == "zero-norm direction"
+        assert "timing_s" in manifest
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
