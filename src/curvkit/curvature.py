@@ -45,7 +45,11 @@ class HessianDecomposition:
 
 @dataclass
 class CurvatureRecord:
-    """One training-step measurement of gradient-aligned curvature."""
+    """One training-step measurement of gradient-aligned curvature.
+
+    The fields are in RUNLOG_COLUMNS order: a record's astuple is its
+    runlog row.
+    """
 
     step: int
     epoch: int
@@ -54,9 +58,9 @@ class CurvatureRecord:
     grad_norm_sq: float
     estimator: float
     exact_half_quadform: float | None = None  # 0.5 * g^T (Hessian) g when probed
-    hessian_proj: float | None = None
     gauss_newton_proj: float | None = None
     functional_proj: float | None = None
+    hessian_proj: float | None = None
 
 
 def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecomposition:

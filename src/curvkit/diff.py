@@ -243,16 +243,25 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _jacobian(net: Network, trace: BatchTrace, from_layer: int, to_layer: int) -> np.ndarray:
+    """interlayer_jacobian with J(m, m) = I: an adjacent layer pair is the
+    empty product of weight matrices."""
+    if from_layer == to_layer:
+        return np.eye(net.arch.widths[from_layer])
+    return interlayer_jacobian(net, trace, from_layer, to_layer)
+
+
 def output_hessian(net: Network, x) -> np.ndarray:
     """Dense P x P Hessian of the scalar output w.r.t. all weights.
 
-    Assembled block by block from the five closed-form cases of a linear
-    network for a pair of layers (row layer k, column layer l): l < k-1,
-    l = k-1, l = k (zero), l = k+1, and l > k+1.  At x, a relu network is
-    the linear network with masked weights W_k diag(m_k), m_k the hidden
-    layers' relu masks and m_L = 1.  The masking is linear in the weights,
-    so the relu Hessian is D H_lin D, where D holds for every weight the
-    mask of the unit it feeds: the Hessian of the linear piece x lies in.
+    Assembled block by block from the closed form of a linear network for a
+    pair of layers (row layer k, column layer l): zero for l = k,
+    a_k (x) J(l, k-1) (x) y_{l-1} for l < k and its mirror image for l > k,
+    with J(m, m) = I.  At x, a relu network is the linear network with
+    masked weights W_k diag(m_k), m_k the hidden layers' relu masks and
+    m_L = 1.  The masking is linear in the weights, so the relu Hessian is
+    D H_lin D, where D holds for every weight the mask of the unit it
+    feeds: the Hessian of the linear piece x lies in.
     """
     index = net.param_index
     if index.n_params > DENSE_CAP:
@@ -275,23 +284,14 @@ def output_hessian(net: Network, x) -> np.ndarray:
     widths = net.arch.widths
     for k in range(1, depth + 1):
         rows = index.layer_slice(k - 1)
-        n_k, n_k1 = widths[k], widths[k - 1]
         for l in range(1, depth + 1):
-            if l == k:
-                continue
-            cols = index.layer_slice(l - 1)
-            n_l, n_l1 = widths[l], widths[l - 1]
-            if l == k - 1:
-                block = np.einsum("i,ju,v->ijuv", a[k], np.eye(n_k1), y[l - 1])
-            elif l < k - 1:
-                jac = interlayer_jacobian(net, trace, l, k - 1)
-                block = np.einsum("i,uj,v->ijuv", a[k], jac, y[l - 1])
-            elif l == k + 1:
-                block = np.einsum("u,j,vi->ijuv", a[l], y[k - 1], np.eye(n_k))
-            else:  # l > k + 1
-                jac = interlayer_jacobian(net, trace, k, l - 1)
-                block = np.einsum("u,iv,j->ijuv", a[l], jac, y[k - 1])
-            hess[rows, cols] = block.reshape(n_k * n_k1, n_l * n_l1)
+            if l < k:
+                block = np.einsum("i,uj,v->ijuv", a[k], _jacobian(net, trace, l, k - 1), y[l - 1])
+            elif l > k:
+                block = np.einsum("u,iv,j->ijuv", a[l], _jacobian(net, trace, k, l - 1), y[k - 1])
+            else:
+                continue  # a layer's own block is zero
+            hess[rows, index.layer_slice(l - 1)] = block.reshape(widths[k] * widths[k - 1], -1)
     return hess
 
 
@@ -299,12 +299,14 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     """Product of the output Hessian with the output gradient, without the
     dense matrix.
 
-    Evaluated from the layered case formula: the entries of the product at
-    column layer l collect four kinds of contributions (row layer two or
-    more above l, two or more below l, directly above, directly below), and
-    the five printed branches below (first layer, second layer, generic
-    middle, next-to-last, last) each keep exactly the contributions that
-    exist for that layer.
+    Evaluated from the layered case formula of a linear network: the block
+    of the product at column layer l is y_{l-1} (x) above + below (x) a_l,
+    two sums over the row layers k, with J(m, m) = I:
+
+        above = sum_{k > l} ||a_k||^2 J(l, k-1) y_{k-1}
+        below = sum_{k < l} ||y_{k-1}||^2 J(k, l-1)^T a_k
+
+    An empty sum (above at the last layer, below at the first) is zero.
     """
     if net.arch.activation != IDENTITY:
         raise ActivationError(
@@ -318,46 +320,16 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     if depth == 1:
         return np.zeros(index.n_params)
     a = _output_sensitivities(net.weights, np.ones(1))
-    a_sq = [None] + [float(a[k] @ a[k]) for k in range(1, depth + 1)]
-    y_sq = [float(y[l] @ y[l]) for l in range(depth + 1)]
-
-    def rows_far_above(l):
-        # row layers k >= l + 2: sum_k ||a_k||^2 * (J(l, k-1) @ y_{k-1})
-        acc = np.zeros(net.arch.widths[l])
-        for k in range(l + 2, depth + 1):
-            acc += a_sq[k] * (interlayer_jacobian(net, trace, l, k - 1) @ y[k - 1])
-        return np.outer(y[l - 1], acc)
-
-    def rows_far_below(l):
-        # row layers k <= l - 2: sum_k ||y_{k-1}||^2 * (J(k, l-1)^T @ a_k)
-        acc = np.zeros(net.arch.widths[l - 1])
-        for k in range(1, l - 1):
-            acc += y_sq[k - 1] * (interlayer_jacobian(net, trace, k, l - 1).T @ a[k])
-        return np.outer(acc, a[l])
-
-    def row_directly_above(l):
-        return a_sq[l + 1] * np.outer(y[l - 1], y[l])
-
-    def row_directly_below(l):
-        return y_sq[l - 2] * np.outer(a[l - 1], a[l])
-
+    widths = net.arch.widths
     blocks = []
     for l in range(1, depth + 1):
-        if l == 1:
-            delta = row_directly_above(l) + rows_far_above(l)
-        elif l == depth:
-            delta = row_directly_below(l) + rows_far_below(l)
-        elif l == 2:
-            delta = row_directly_below(l) + row_directly_above(l) + rows_far_above(l)
-        elif l == depth - 1:
-            delta = row_directly_above(l) + row_directly_below(l) + rows_far_below(l)
-        else:
-            delta = (
-                rows_far_above(l)
-                + rows_far_below(l)
-                + row_directly_above(l)
-                + row_directly_below(l)
-            )
+        above = np.zeros(widths[l])
+        for k in range(l + 1, depth + 1):
+            above += float(a[k] @ a[k]) * (_jacobian(net, trace, l, k - 1) @ y[k - 1])
+        below = np.zeros(widths[l - 1])
+        for k in range(1, l):
+            below += float(y[k - 1] @ y[k - 1]) * (_jacobian(net, trace, k, l - 1).T @ a[k])
+        delta = np.outer(y[l - 1], above) + np.outer(below, a[l])
         blocks.append(delta.ravel(order="F"))
     return np.concatenate(blocks)
 

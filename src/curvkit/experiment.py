@@ -11,7 +11,7 @@ functional part of the curvature directly, and the total as their sum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -164,28 +164,15 @@ class RunLog:
             return float("nan")
         return float(np.mean([r.hessian_proj >= 0.0 for r in probed]))
 
-    def to_rows(self):
-        for r in self.records:
-            yield [
-                r.step,
-                r.epoch,
-                r.lr,
-                r.loss,
-                r.grad_norm_sq,
-                r.estimator,
-                r.exact_half_quadform,
-                r.gauss_newton_proj,
-                r.functional_proj,
-                r.hessian_proj,
-            ]
-
     def to_csv(self, path) -> None:
-        write_csv(path, RUNLOG_SCHEMA, RUNLOG_COLUMNS, self.to_rows())
+        write_csv(path, RUNLOG_SCHEMA, RUNLOG_COLUMNS, map(astuple, self.records))
 
 
 def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> CurvatureRecord:
     """The step-0 measurement a training run would record, without training."""
-    x, t, _ = _first_batch(dataset, cfg)
+    perm = RngStream(cfg.data_seed, 1).generator().permutation(dataset.n_samples)
+    idx = perm[: min(cfg.batch_size, dataset.n_samples)]
+    x, t = dataset.inputs[idx], dataset.targets[idx]
     loss_value, g = loss_and_gradient(net, x, t, cfg.loss)
     g_sq = float(g @ g)
     hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss, g)
@@ -201,12 +188,6 @@ def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> Curvature
         gauss_newton_proj=gn,
         functional_proj=fun,
     )
-
-
-def _first_batch(dataset: Dataset, cfg: TrainConfig):
-    perm = RngStream(cfg.data_seed, 1).generator().permutation(dataset.n_samples)
-    idx = perm[: min(cfg.batch_size, dataset.n_samples)]
-    return dataset.inputs[idx], dataset.targets[idx], perm
 
 
 # The finiteness guards decide; numpy's overflow warnings would bury their message.
@@ -300,6 +281,8 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One sweep.csv row; the fields are in SWEEP_COLUMNS order."""
+
     width: int
     seed_index: int
     init_functional_abs: float
@@ -324,12 +307,7 @@ class SweepReport:
         return out
 
     def to_csv(self, path) -> None:
-        rows = [
-            [c.width, c.seed_index, c.init_functional_abs, c.init_hessian_proj,
-             c.final_loss, c.positivity_fraction]
-            for c in self.cells
-        ]
-        write_csv(path, SWEEP_SCHEMA, SWEEP_COLUMNS, rows)
+        write_csv(path, SWEEP_SCHEMA, SWEEP_COLUMNS, map(astuple, self.cells))
 
 
 def _sweep_config(base: TrainConfig, width: int, seed_index: int) -> TrainConfig:

@@ -75,10 +75,6 @@ class InitDistribution:
         if self.fan_in < 1:
             raise DimensionError(f"fan_in must be >= 1, got {self.fan_in}")
 
-    @property
-    def second_moment(self) -> float:
-        return 1.0 / self.fan_in
-
     def sample(
         self, shape, rng: "RngStream | np.random.Generator", out: np.ndarray | None = None
     ) -> np.ndarray:

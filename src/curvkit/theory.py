@@ -352,8 +352,6 @@ class CurvatureBoundParams:
                 raise DimensionError(f"{name} must be strictly positive")
         m = tuple(float(v) for v in self.multipliers)
         object.__setattr__(self, "multipliers", m)
-        if len(m) < 2 or any(v <= 0 for v in m):
-            raise DimensionError("multipliers must be positive, one per layer width")
         margin = grad_norm_limit(m, self.input_norm_sq) - self.epsilon / self.loss_slope_min
         if margin <= 0:
             raise DimensionError(

@@ -234,7 +234,8 @@ class TestOutputHessianGradProduct:
         assert float(g @ product) == 2.0
 
     @pytest.mark.parametrize(
-        "widths", [(4, 5, 6, 3, 1), (3, 1), (2, 3, 1), (5, 4, 3, 2, 6, 1), (2, 2, 2, 2, 2, 2, 1)]
+        "widths",
+        [(4, 5, 6, 3, 1), (3, 1), (2, 3, 1), (3, 4, 2, 1), (5, 4, 3, 2, 6, 1), (2, 2, 2, 2, 2, 2, 1)],
     )
     def test_matches_dense_route(self, widths):
         for seed in range(4):
