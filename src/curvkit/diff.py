@@ -180,22 +180,25 @@ def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
 
 
 def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
-    """Mean loss over the batch."""
+    """Mean loss over the batch, from a loss-only pass that keeps no trace."""
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    trace = batch_forward(net, x)
+    trace = batch_forward(net, x, outputs_only=True)
     return float(np.mean(loss.value(trace.outputs, t)))
 
 
 def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarray) -> np.ndarray:
-    """Flat vector sum_s w_s * (gradient of output_s w.r.t. all weights)."""
+    """Flat vector sum_s w_s * (gradient of output_s w.r.t. all weights).
+
+    Each layer's product is written straight into its slice of the result,
+    through the transpose of its unflattened block: (n_k, n_{k-1}) row-major.
+    """
     a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
-    blocks = []
-    for k in range(net.depth):
-        y_prev = trace.activations[k]
+    out = np.empty(net.param_index.n_params)
+    for k, block in enumerate(net.param_index.unflatten(out)):
         weighted = a[k + 1] * sample_weights[:, None]
-        blocks.append((weighted.T @ y_prev).reshape(-1))  # (n_k, n_{k-1}) row-major
-    return np.concatenate(blocks)
+        np.matmul(weighted.T, trace.activations[k], out=block.T)
+    return out
 
 
 def output_gradient(net: Network, x) -> np.ndarray:
@@ -615,7 +618,9 @@ def gradient_curvatures(
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         raise DirectionError("cannot project along a zero gradient")
-    trace = batch_forward(net, x, _dense_along(_direction_layers(net, g / norm)))
+    # Each block of u is divided out where the pass uses it: no P-sized u.
+    dirs = _direction_layers(net, g)
+    trace = batch_forward(net, x, lambda k, v: v @ (dirs[k] / norm))
     y = trace.outputs
     gn_proj = float(np.mean(loss.d2(y, t) * trace.output_dot**2))
     fun_proj = float(np.mean(loss.d1(y, t) * trace.output_ddot))
@@ -640,14 +645,16 @@ def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.nda
     y = trace.outputs
     delta = (loss.d1(y, t) / n)[:, None]
     delta_dot = loss.d2(y, t)[:, None] * trace.output_dot[:, None] / n
-    blocks = [None] * depth
+    out = np.empty(net.param_index.n_params)
+    blocks = [b.T for b in net.param_index.unflatten(out)]  # as in _weighted_gradient
     for k in range(depth - 1, 0, -1):
-        blocks[k] = (delta_dot.T @ acts[k] + delta.T @ act_dots[k]).reshape(-1)
+        np.matmul(delta_dot.T, acts[k], out=blocks[k])
+        blocks[k] += delta.T @ act_dots[k]
         delta, delta_dot = delta @ weights[k].T, delta_dot @ weights[k].T + delta @ dirs[k].T
         if masks is not None:
             delta, delta_dot = delta * masks[k - 1], delta_dot * masks[k - 1]
-    blocks[0] = (delta_dot.T @ acts[0]).reshape(-1)
-    return np.concatenate(blocks)
+    np.matmul(delta_dot.T, acts[0], out=blocks[0])
+    return out
 
 
 def hvp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> np.ndarray:

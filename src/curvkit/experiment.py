@@ -100,10 +100,27 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, seed: int = -1) -> Dataset:
+    """Read a dataset written by save_dataset.
+
+    A row whose cell count differs from the header's, a non-numeric cell
+    or a file with no data rows raises DimensionError naming the file and
+    the data row (1 is the first row after the header).
+    """
     schema, header, rows = read_csv(path)
     if schema != "curvkit.dataset.v1":
         raise DimensionError(f"{path}: unexpected schema {schema!r}")
-    data = np.array([[float(v) for v in row] for row in rows])
+    if not rows:
+        raise DimensionError(f"{path}: row 1: the file ends after its header")
+    data = np.empty((len(rows), len(header)))
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DimensionError(
+                f"{path}: row {r + 1} has {len(row)} values, expected {len(header)}"
+            )
+        try:
+            data[r] = [float(v) for v in row]
+        except ValueError as exc:
+            raise DimensionError(f"{path}: row {r + 1}: {exc}") from exc
     return Dataset(np.ascontiguousarray(data[:, 1:]), data[:, 0].copy(), seed)
 
 
@@ -236,6 +253,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
                 hess = gn = fun = exact_half = None
             for w, dw in zip(net.weights, index.unflatten(g)):
                 w -= lr * dw
+            del g, dw  # not alive while the next step's gradient is built
             loss_after = batch_loss(net, x, t, cfg.loss)
             records.append(
                 CurvatureRecord(

@@ -158,7 +158,7 @@ def init_network(
         dist = InitDistribution(kind, fan_in)
         w = dist.sample((fan_in, fan_out), gen)
         if arch.activation == RELU and l >= 2 and rectifier_gain != 1.0:
-            w = w * rectifier_gain
+            w *= rectifier_gain
         weights.append(w)
     return Network(arch, weights)
 
@@ -169,13 +169,17 @@ class BatchTrace:
     direction, their first two Taylor coefficients.
 
     For a batch the arrays are (n_samples, width); for a single input they
-    are (width,).  Along a direction, tangents[k] is hidden layer k's a'_k
-    (None for the input), and output_dot and output_ddot are the outputs'
-    first and second directional derivatives; without one they are None.
+    are (width,).  masks are the hidden layers' active units as bool arrays
+    (None without relu); every consumer multiplies by them.  Along a
+    direction, tangents[k] is hidden layer k's a'_k (None for the input), and
+    output_dot and output_ddot are the outputs' first and second directional
+    derivatives; without one they are None.  A loss-only pass keeps no
+    trace: its activations are the input and the outputs only, and its
+    masks are None.
     """
 
     activations: list[np.ndarray]
-    masks: list[np.ndarray] | None = None  # active-unit masks, hidden layers only
+    masks: list[np.ndarray] | None = None  # bool active-unit masks, hidden layers only
     tangents: list[np.ndarray | None] | None = None
     output_dot: np.ndarray | None = None
     output_ddot: np.ndarray | None = None
@@ -195,23 +199,26 @@ def forward(net: Network, x: np.ndarray) -> BatchTrace:
     return batch_forward(net, np.asarray(x, dtype=np.float64).reshape(-1))
 
 
-def batch_forward(net: Network, inputs: np.ndarray, along=None) -> BatchTrace:
+def batch_forward(net: Network, inputs: np.ndarray, along=None, outputs_only: bool = False) -> BatchTrace:
     """Forward one input (n_0,) or a batch (n_samples, n_0); rows are samples.
 
     With along, the action of a weight direction (see _forward), the trace
-    also carries the Taylor coefficients along it.
+    also carries the Taylor coefficients along it.  With outputs_only, a
+    loss-only pass, it keeps no trace: only the input and the outputs.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != net.arch.widths[0]:
         raise DimensionError(
             f"input shape {x.shape} does not match input width {net.arch.widths[0]}"
         )
-    return _forward(net.weights, x, net.arch.activation == RELU, along)
+    return _forward(net.weights, x, net.arch.activation == RELU, along, outputs_only)
 
 
-def _forward(weights, x: np.ndarray, relu: bool, along=None) -> BatchTrace:
+def _forward(weights, x: np.ndarray, relu: bool, along=None, outputs_only: bool = False) -> BatchTrace:
     """The layer loop of every forward pass: activations, input first, and
-    the active-unit masks of the hidden layers (None without relu).
+    the bool active-unit masks of the hidden layers (None without relu).
+    With outputs_only it holds only the layer it is computing: the trace
+    keeps the input and the outputs, and no masks.
 
     Given a weight direction D through its action along(k, v) = v D_{k+1},
     it also carries the first two Taylor coefficients of every layer along
@@ -224,7 +231,7 @@ def _forward(weights, x: np.ndarray, relu: bool, along=None) -> BatchTrace:
     arrays, one network per leading index, with x of shape (T, rows, n_0).
     """
     acts = [x]
-    masks: list[np.ndarray] | None = [] if relu else None
+    masks: list[np.ndarray] | None = [] if relu and not outputs_only else None
     tangents = None if along is None else [None]  # the input does not move
     z_ddot = None
     depth = len(weights)
@@ -239,14 +246,18 @@ def _forward(weights, x: np.ndarray, relu: bool, along=None) -> BatchTrace:
                 z_dot = tangents[-1] @ w + along(l - 1, acts[-1])
         if relu and l < depth:
             mask = z > 0.0
-            z = np.where(mask, z, 0.0)
-            masks.append(mask.astype(np.float64))
+            np.copyto(z, 0.0, where=~mask)
+            if masks is not None:
+                masks.append(mask)
             if along is not None:
-                z_dot = z_dot * masks[-1]
-                z_ddot = None if z_ddot is None else z_ddot * masks[-1]
+                z_dot = z_dot * mask
+                z_ddot = None if z_ddot is None else z_ddot * mask
         if along is not None and l < depth:
             tangents.append(z_dot)
-        acts.append(z)
+        if outputs_only:
+            acts[1:] = [z]
+        else:
+            acts.append(z)
     if along is None:
         return BatchTrace(acts, masks)
     z_ddot = np.zeros_like(z) if z_ddot is None else z_ddot  # one layer: y is linear in W

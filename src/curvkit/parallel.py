@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -19,6 +18,14 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _open_pool(n_workers: int):
+    """A process pool of n_workers.  concurrent.futures is imported here, so
+    a command that opens no pool never pays for the import."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=n_workers)
 
 
 def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
@@ -40,6 +47,6 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
         return np.asarray(fn(0, n_items))
     chunk = -(-n_items // (4 * n_workers))
     ranges = [(fn, s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(ranges))) as pool:
+    with _open_pool(min(n_workers, len(ranges))) as pool:
         parts = list(pool.map(_call_range, ranges))
     return np.concatenate([np.asarray(p) for p in parts])

@@ -692,3 +692,96 @@ class TestDirectionalCurvature:
     def test_zero_direction_rejected(self):
         with pytest.raises(DirectionError):
             self.curvature(chain([1.0]), [1.0], np.zeros(1))
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestPeakMemory:
+    """The hot kernels hold only the arrays their callers read."""
+
+    def test_batch_loss_keeps_no_trace(self):
+        # Eight relu hidden layers: a kept trace would hold eight activations
+        # and their masks; a loss-only pass holds the layer it computes.
+        net = random_net((64,) * 9 + (1,), 130, "relu")
+        gen = RngStream(131, 0).generator()
+        xs = gen.standard_normal((400, 64))
+        ts = gen.integers(0, 2, 400) * 2.0 - 1.0
+        value, peak = traced_peak(batch_loss, net, xs, ts, squared_error())
+        assert peak < 3 * xs.nbytes
+        assert value == loss_and_gradient(net, xs, ts, squared_error())[0]
+
+    def test_loss_and_gradient_holds_one_gradient(self):
+        # Each layer's product goes straight into its slice of the result:
+        # no block temporaries beside the flat gradient.
+        net = random_net((100,) * 5 + (1,), 132, "relu")
+        gen = RngStream(133, 0).generator()
+        xs = gen.standard_normal((8, 100))
+        ts = gen.integers(0, 2, 8) * 2.0 - 1.0
+        P = net.param_index.n_params
+        activations = xs.shape[0] * sum(net.arch.widths) * 8
+        (_, g), peak = traced_peak(loss_and_gradient, net, xs, ts, squared_error())
+        assert peak < 1.5 * P * 8 + activations
+        assert g.shape == (P,)
+
+    def test_gradient_curvatures_makes_no_unit_vector(self):
+        # u = g / ||g|| is divided out one layer block at a time (the largest
+        # is a quarter of P here), so no second P-sized array is made.
+        net = random_net((100,) * 5 + (1,), 134, "relu")
+        gen = RngStream(135, 0).generator()
+        xs = gen.standard_normal((8, 100))
+        ts = gen.integers(0, 2, 8) * 2.0 - 1.0
+        _, g = loss_and_gradient(net, xs, ts, squared_error())
+        _, peak = traced_peak(gradient_curvatures, net, xs, ts, squared_error(), g)
+        assert peak < g.nbytes
+
+
+class TestBoolMasks:
+    """relu masks are the comparison's bool arrays; every consumer multiplies
+    by them, which gives the bits of float64 masks."""
+
+    @staticmethod
+    def relu_batch():
+        net = random_net((5, 8, 7, 6, 1), 136, "relu")
+        gen = RngStream(137, 0).generator()
+        xs = gen.standard_normal((9, 5))
+        ts = gen.integers(0, 2, 9) * 2.0 - 1.0
+        return net, xs, ts
+
+    def test_masks_are_bool(self):
+        net, xs, _ = self.relu_batch()
+        masks = curvkit.network.batch_forward(net, xs).masks
+        assert len(masks) == 3
+        assert all(m.dtype == np.bool_ for m in masks)
+
+    def test_output_sensitivities_match_float64_masks(self):
+        net, xs, _ = self.relu_batch()
+        trace = curvkit.network.batch_forward(net, xs)
+        assert trace.masks[0].dtype == np.bool_
+        seed = np.ones((xs.shape[0], 1))
+        got = curvkit.diff._output_sensitivities(net.weights, seed, trace.masks)
+        want = curvkit.diff._output_sensitivities(
+            net.weights, seed, [m.astype(np.float64) for m in trace.masks])
+        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+
+    def test_hvp_matches_float64_masks(self, monkeypatch):
+        net, xs, ts = self.relu_batch()
+        v = RngStream(138, 0).generator().standard_normal(net.param_index.n_params)
+        got = hvp(net, xs, ts, squared_error(), v)
+
+        def float_masks(*args, **kwargs):
+            trace = curvkit.network.batch_forward(*args, **kwargs)
+            assert trace.masks[0].dtype == np.bool_
+            trace.masks = [m.astype(np.float64) for m in trace.masks]
+            return trace
+
+        monkeypatch.setattr(curvkit.diff, "batch_forward", float_masks)
+        assert got.tobytes() == hvp(net, xs, ts, squared_error(), v).tobytes()

@@ -73,6 +73,33 @@ class TestDataset:
         with pytest.raises(DimensionError):
             generate_dataset(0, 4, 1)
 
+    @staticmethod
+    def dataset_file(tmp_path, *rows):
+        path = tmp_path / "data.csv"
+        path.write_text("# schema=curvkit.dataset.v1\ntarget,x0,x1\n" + "".join(r + "\n" for r in rows))
+        return path
+
+    def test_ragged_row_names_file_and_row(self, tmp_path):
+        path = self.dataset_file(tmp_path, "1.0,0.6,0.8", "-1.0,0.8")
+        with pytest.raises(DimensionError, match=r"data\.csv: row 2 has 2 values, expected 3"):
+            load_dataset(path)
+
+    def test_non_numeric_cell_names_file_and_row(self, tmp_path):
+        path = self.dataset_file(tmp_path, "1.0,0.6,0.8", "-1.0,0.8,abc")
+        with pytest.raises(DimensionError, match=r"data\.csv: row 2: could not convert string to float: 'abc'"):
+            load_dataset(path)
+
+    def test_no_data_rows_names_file(self, tmp_path):
+        path = self.dataset_file(tmp_path)
+        with pytest.raises(DimensionError, match=r"data\.csv: row 1: the file ends after its header"):
+            load_dataset(path)
+
+    def test_row_longer_than_header_rejected(self, tmp_path):
+        # Every row agrees with every other, but not with the header.
+        path = self.dataset_file(tmp_path, "1.0,0.6,0.8,0.0", "-1.0,0.8,0.6,0.0")
+        with pytest.raises(DimensionError, match=r"data\.csv: row 1 has 4 values, expected 3"):
+            load_dataset(path)
+
 
 class TestSchedule:
     def test_halving_counts(self):

@@ -1,9 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import curvkit.parallel
+from cli_env import child_env
 from curvkit.parallel import map_trial_ranges
 
 
@@ -17,7 +20,7 @@ def _draw_per_item(start, stop):
 
 
 def _inline_pool(monkeypatch):
-    """Replace ProcessPoolExecutor with an in-process stand-in that starts no
+    """Replace the pool opener with an in-process stand-in that starts no
     process; returns the list of pools opened, each with its size and tasks."""
     opened = []
 
@@ -37,7 +40,7 @@ def _inline_pool(monkeypatch):
             self.tasks = list(tasks)
             return map(fn, self.tasks)
 
-    monkeypatch.setattr(curvkit.parallel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(curvkit.parallel, "_open_pool", InlinePool)
     return opened
 
 
@@ -121,3 +124,13 @@ class TestUsableCpus:
         assert curvkit.parallel._usable_cpus() == 7
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert curvkit.parallel._usable_cpus() == 1
+
+
+def test_importing_the_cli_imports_no_pool_machinery():
+    # Only a pool of more than one worker needs concurrent.futures, which
+    # brings multiprocessing with it.
+    probe = ("import sys, curvkit.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
