@@ -21,6 +21,7 @@ import argparse
 import configparser
 import copy
 import json
+import math
 import operator
 import sys
 import time
@@ -221,7 +222,22 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict, started
         "timing_s": round(time.perf_counter() - started, 3),
     }
     manifest.update(extra)
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(_strict_json(manifest, sort_keys=True))
+
+
+def _strict_json(obj, sort_keys: bool = False) -> str:
+    """Indented JSON that any strict parser reads: a non-finite float is null."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _prepare_out(cfg: dict, override: str | None) -> Path:
@@ -342,7 +358,7 @@ def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, 
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}")
     failures = [c for c in checks if not c["passed"]]
-    (out_dir / "check_report.json").write_text(json.dumps(checks, indent=2) + "\n")
+    (out_dir / "check_report.json").write_text(_strict_json(checks))
     if failures:
         print(f"FAILED: first failing check is {failures[0]['name']}", file=sys.stderr)
     else:

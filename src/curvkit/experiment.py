@@ -222,7 +222,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     """
     if dataset.inputs.shape[1] != net.arch.widths[0]:
         raise DimensionError("dataset dimension does not match the network input width")
-    if cfg.batch_size > dataset.n_samples:
+    if cfg.epochs > 0 and cfg.batch_size > dataset.n_samples:
         raise DimensionError("batch size exceeds dataset size")
     start_time = time.perf_counter()
     n = dataset.n_samples
@@ -252,7 +252,8 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
             else:
                 hess = gn = fun = exact_half = None
             for w, dw in zip(net.weights, index.unflatten(g)):
-                w -= lr * dw
+                dw *= lr  # in g itself: no temporary of a layer's size
+                w -= dw
             del g, dw  # not alive while the next step's gradient is built
             loss_after = batch_loss(net, x, t, cfg.loss)
             records.append(

@@ -246,7 +246,7 @@ def _forward(weights, x: np.ndarray, relu: bool, along=None, outputs_only: bool 
                 z_dot = tangents[-1] @ w + along(l - 1, acts[-1])
         if relu and l < depth:
             mask = z > 0.0
-            np.copyto(z, 0.0, where=~mask)
+            np.fmax(z, 0.0, out=z)  # relu; NaN becomes 0 as well
             if masks is not None:
                 masks.append(mask)
             if along is not None:
@@ -292,17 +292,19 @@ def interlayer_jacobian(
 def save_network(net: Network, path) -> None:
     """Write a self-describing text file: widths header + row-major blocks.
 
-    Each layer is formatted by one %-string and written before the next is
-    formatted, so at most one layer's text is held at a time.
+    Every weight is written as '%.17g' % w, which reads back bit for bit.
+    floattext.g17 formats it, exactly and a block of rows at a time, so
+    the writer holds one block's text, never a layer's Python floats.
     """
+    from .floattext import g17  # here, so that commands which write no arrays never compile it
+
     widths = " ".join(str(w) for w in net.arch.widths)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"curvkit-network v1\nactivation {net.arch.activation}\nwidths {widths}\n")
         for l, w in enumerate(net.weights, start=1):
             rows, cols = w.shape
             fh.write(f"layer {l} {rows}x{cols}\n")
-            row_format = " ".join(["%.17g"] * cols) + "\n"
-            fh.write((row_format * rows) % tuple(w.ravel().tolist()))
+            fh.writelines(g17(w, " "))
 
 
 def load_network(path, strict: bool = True) -> Network:

@@ -16,25 +16,18 @@ def format_cell(value) -> str:
     return str(value)
 
 
-# Rows of a float array formatted per %-string, which bounds the text held.
-_BLOCK_CELLS = 1 << 16
-
-
 def write_csv(path, schema: str, header: list[str], rows) -> None:
     """Write a header and rows; a 2-D float64 array is written in row blocks.
 
-    The block path formats each cell with %r, which is format_cell's repr of
-    a float, so both paths write the same bytes.
+    floattext.short writes each cell of the array as its exact repr, which
+    is format_cell's text of a float, so both paths write the same bytes.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={schema}\n" + ",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
-            n_rows, n_cols = rows.shape
-            chunk = max(1, _BLOCK_CELLS // max(n_cols, 1))
-            row_format = ",".join(["%r"] * n_cols) + "\n"
-            for start in range(0, n_rows, chunk):
-                block = rows[start : start + chunk]
-                fh.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
+            from .floattext import short  # as in network.save_network
+
+            fh.writelines(short(rows, ","))
             return
         for row in rows:
             fh.write(",".join(format_cell(v) for v in row) + "\n")

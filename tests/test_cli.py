@@ -36,6 +36,14 @@ def test_child_imports_the_tested_curvkit(tmp_path):
     assert Path(result.stdout.strip()).resolve() == Path(curvkit.__file__).resolve()
 
 
+def strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity that json.dumps writes by default."""
+    def refuse(token):
+        raise ValueError(f"{path}: non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def write_config(path, text):
     path.write_text(text)
     return str(path)
@@ -113,6 +121,9 @@ class TestCheck:
         )
         assert result.returncode == 1
         assert "output-hessian-symmetry" in result.stderr
+        report = strict_json(tmp_path / "out" / "check_report.json")
+        assert any(c["value"] is None for c in report)  # a NaN value is written as null
+        assert strict_json(tmp_path / "out" / "manifest.json")["n_failures"] >= 1
 
     def test_relu_config_is_graceful(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", SMALL.replace("identity", "relu"))
@@ -534,6 +545,21 @@ class TestExitCodes:
         _, _, rows = read_csv(out / "sweep.csv")
         assert len(rows) == 1
 
+    def test_batch_larger_than_dataset_without_steps_still_trains(self, tmp_path):
+        text = ("[arch]\nwidths = 8 8 1\nactivation = relu\n[train]\nepochs = 0\n"
+                "[data]\nn_samples = 20\n")
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "o"
+        result = run_cli("train", "--config", cfg, "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["n_steps"] == 0
+        assert manifest["positivity_fraction"] is None  # no probe: NaN, written as null
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dataset.csv", "manifest.json", "network_final.txt", "runlog.csv",
+        ]
+
     def test_one_layer_check_is_exit_2(self, tmp_path):
         # The closed-form output Hessian of one weight layer is exactly 0, so
         # its relative error against the FD oracle's rounding noise reads 1.
@@ -653,7 +679,7 @@ class TestLifecycle:
         code = cli.main([*command, "--config", cfg, "--out", str(out)])
         assert code in (0, 1), capsys.readouterr().err
         assert list(tmp_path.rglob("manifest.json")) == [out / "manifest.json"]
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = strict_json(out / "manifest.json")
         assert manifest["command"] == " ".join(command)
         assert manifest["timing_s"] >= 0.0
         assert "aborted" not in manifest
