@@ -28,7 +28,6 @@ from .diff import (
     half_squared_error,
     hvp,
     loss_and_gradient,
-    loss_gradient,
     output_gradient,
     output_hessian,
     output_hessian_grad_product,

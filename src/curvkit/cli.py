@@ -59,6 +59,7 @@ from .network import (
     load_network,
     save_network,
 )
+from .parallel import blas_threads, open_lane
 from .rng import AUX_STREAM, DISTRIBUTION_KINDS, RngStream
 from .tables import write_csv
 from .theory import (
@@ -569,19 +570,23 @@ def _train_config(cfg: dict) -> TrainConfig:
 
 def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
     tc = _train_config(cfg)
-    dataset = generate_dataset(cfg["data"]["n_samples"], tc.architecture.widths[0], tc.data_seed)
-    save_dataset(dataset, out_dir / "dataset.csv")
-    net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
-                       rectifier_gain=tc.effective_init_gain)
-    log = sgd_train(net, dataset, tc)
-    log.to_csv(out_dir / "runlog.csv")
-    save_network(net, out_dir / "network_final.txt")
+    widths = tc.architecture.widths
+    with open_lane(max(a * b for a, b in zip(widths, widths[1:]))) as lane:
+        dataset = generate_dataset(cfg["data"]["n_samples"], widths[0], tc.data_seed)
+        save_dataset(dataset, out_dir / "dataset.csv", lane)
+        net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
+                           rectifier_gain=tc.effective_init_gain)
+        log = sgd_train(net, dataset, tc, lane)
+        log.to_csv(out_dir / "runlog.csv")
+        save_network(net, out_dir / "network_final.txt", lane)
     print(f"final loss {log.final_loss:.6f}, positivity {log.positivity_fraction():.3f}")
     return 0, {
         "final_loss": log.final_loss,
         "positivity_fraction": log.positivity_fraction(),
         "n_steps": len(log.records),
         "wall_time_s": log.wall_time_s,
+        "step_lane": "thread" if lane.threaded else "inline",
+        "blas_threads": blas_threads(),
     }
 
 

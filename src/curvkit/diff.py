@@ -44,6 +44,7 @@ from .network import (
     forward,
     interlayer_jacobian,
 )
+from .parallel import INLINE, Lane
 
 # Dense P x P storage above this parameter count is refused; matrix-free
 # operations have no such cap.
@@ -160,22 +161,30 @@ def _as_targets(targets, n: int) -> np.ndarray:
     return t
 
 
-def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
-    """a[k] = d(output)/d(layer-k activations) in row layout, for k = 1 .. L.
+def _sensitivity_chain(weights, seed: np.ndarray, masks=None):
+    """Yield (k, a_k) for k = L .. 1, a_k = d(output)/d(layer-k activations)
+    in row layout.
 
     The backward pass of every route: a_L = seed and a_k = a_{k+1} W_{k+1}^T,
     times the hidden layer's relu mask when masks are given.  seed is ones of
     shape (1,) for one network, (n_samples, 1) for a batch, or (T, 1, 1) for
     stacked (T, n_{k-1}, n_k) weights.  Layer k's output-gradient block is
-    y_{k-1} (x) a_k, so a[0] is never needed and stays None.
+    y_{k-1} (x) a_k, so a_0 is never needed.
     """
-    depth = len(weights)
-    a = [None] * (depth + 1)
-    a[depth] = seed
-    for k in range(depth - 1, 0, -1):
-        a[k] = a[k + 1] @ np.swapaxes(weights[k], -1, -2)
+    a = seed
+    yield len(weights), a
+    for k in range(len(weights) - 1, 0, -1):
+        a = a @ np.swapaxes(weights[k], -1, -2)
         if masks is not None:
-            a[k] = a[k] * masks[k - 1]
+            a = a * masks[k - 1]
+        yield k, a
+
+
+def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
+    """The list a with a[k] = a_k of _sensitivity_chain; a[0] stays None."""
+    a = [None] * (len(weights) + 1)
+    for k, a_k in _sensitivity_chain(weights, seed, masks):
+        a[k] = a_k
     return a
 
 
@@ -187,18 +196,29 @@ def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
     return float(np.mean(loss.value(trace.outputs, t)))
 
 
-def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarray) -> np.ndarray:
+def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarray,
+                       lane: Lane = INLINE) -> np.ndarray:
     """Flat vector sum_s w_s * (gradient of output_s w.r.t. all weights).
 
     Each layer's product is written straight into its slice of the result,
     through the transpose of its unflattened block: (n_k, n_{k-1}) row-major.
+    The products go to the lane as the backward chain yields their a_k.
     """
-    a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
     out = np.empty(net.param_index.n_params)
-    for k, block in enumerate(net.param_index.unflatten(out)):
-        weighted = a[k + 1] * sample_weights[:, None]
-        np.matmul(weighted.T, trace.activations[k], out=block.T)
+    blocks = net.param_index.unflatten(out)
+    chain = _sensitivity_chain(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
+    products = [
+        lane.submit(_gradient_block, a_k, sample_weights, trace.activations[k - 1], blocks[k - 1])
+        for k, a_k in chain
+    ]
+    for p in reversed(products):  # the last ones are the likeliest still queued
+        p.result()
     return out
+
+
+def _gradient_block(a_k, sample_weights, y, block) -> None:
+    weighted = a_k * sample_weights[:, None]
+    np.matmul(weighted.T, y, out=block.T)
 
 
 def output_gradient(net: Network, x) -> np.ndarray:
@@ -214,19 +234,16 @@ def output_gradient(net: Network, x) -> np.ndarray:
     return _weighted_gradient(net, bt, np.ones(1))
 
 
-def loss_gradient(net: Network, inputs, targets, loss: LossFunction) -> np.ndarray:
-    """Batch-mean gradient of the loss w.r.t. the flat parameter vector."""
-    return loss_and_gradient(net, inputs, targets, loss)[1]
-
-
-def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its gradient from a single forward pass."""
+def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction,
+                      lane: Lane = INLINE) -> tuple[float, np.ndarray]:
+    """Batch-mean loss and its gradient from a single forward pass; the
+    weight-gradient products run on lane."""
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     trace = batch_forward(net, x)
     value = float(np.mean(loss.value(trace.outputs, t)))
     slopes = loss.d1(trace.outputs, t) / x.shape[0]
-    return value, _weighted_gradient(net, trace, slopes)
+    return value, _weighted_gradient(net, trace, slopes, lane)
 
 
 def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:

@@ -26,7 +26,7 @@ from .diff import (
 )
 from .errors import DimensionError, DirectionError, DivergenceError
 from .network import RELU, Architecture, Network, init_network
-from .parallel import map_trial_ranges
+from .parallel import INLINE, Lane, map_trial_ranges
 from .rng import GAUSSIAN, RngStream
 from .tables import read_csv, write_csv
 
@@ -94,9 +94,9 @@ def generate_dataset(n_samples: int, input_dim: int, seed: int) -> Dataset:
     return Dataset(x, t, seed)
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def save_dataset(ds: Dataset, path, lane: Lane = INLINE) -> None:
     header = ["target"] + [f"x{j}" for j in range(ds.inputs.shape[1])]
-    write_csv(path, "curvkit.dataset.v1", header, np.column_stack([ds.targets, ds.inputs]))
+    write_csv(path, "curvkit.dataset.v1", header, np.column_stack([ds.targets, ds.inputs]), lane)
 
 
 def load_dataset(path, seed: int = -1) -> Dataset:
@@ -209,7 +209,7 @@ def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> Curvature
 
 # The finiteness guards decide; numpy's overflow warnings would bury their message.
 @np.errstate(over="ignore", invalid="ignore")
-def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
+def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INLINE) -> RunLog:
     """Train net in place with vanilla SGD, recording curvature per step.
 
     Minibatches are sequential slices of a fresh per-epoch shuffle derived
@@ -219,6 +219,11 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     at the pre-step weights.  Aborts with the partial log attached if the
     loss exceeds divergence_ratio times its initial value or is not finite;
     with epochs = 0, a non-finite initial loss aborts with no log.
+
+    lane runs the weight-gradient products, the update of alternate layers
+    and each step's post-step loss pass, which overlaps the next step's
+    gradient.  So a step is recorded and guarded once the next step's
+    gradient is in, before that step moves the weights.
     """
     if dataset.inputs.shape[1] != net.arch.widths[0]:
         raise DimensionError("dataset dimension does not match the network input width")
@@ -231,66 +236,91 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig) -> RunLog:
     probe_every = cfg.probe_every if cfg.probe_every > 0 else steps_per_epoch
     records: list[CurvatureRecord] = []
     epoch_losses: list[float] = []
+    step_losses: list[float] = []
     initial_loss: float | None = None
+    pending = None  # the last step taken, recorded once its post-step loss is in
+
+    def record(step, epoch, lr, loss_before, g_sq, curvatures, post_step, ends_epoch) -> None:
+        loss_after = post_step.result()
+        hess, gn, fun, exact_half = curvatures
+        records.append(
+            CurvatureRecord(
+                step=step,
+                epoch=epoch,
+                lr=lr,
+                loss=loss_before,
+                grad_norm_sq=g_sq,
+                # A zero-rate step realizes no loss change; the one-step
+                # estimator is undefined there.
+                estimator=estimate_curvature(loss_before, loss_after, g_sq, lr)
+                if lr > 0.0
+                else float("nan"),
+                exact_half_quadform=exact_half,
+                hessian_proj=hess,
+                gauss_newton_proj=gn,
+                functional_proj=fun,
+            )
+        )
+        step_losses.append(loss_before)
+        # Written so that a NaN loss, which fails every comparison, aborts too.
+        if not loss_after <= cfg.divergence_ratio * max(initial_loss, 1e-300):
+            partial = RunLog(records, epoch_losses + [float(np.mean(step_losses))],
+                             time.perf_counter() - start_time)
+            cause = (f"exceeded {cfg.divergence_ratio:.1e} x initial {initial_loss:.3e}"
+                     if np.isfinite(loss_after) else "is not finite")
+            raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step}",
+                                  partial_log=partial)
+        if ends_epoch:
+            epoch_losses.append(float(np.mean(step_losses)))
+            step_losses.clear()
+
     step = 0
     index = net.param_index
     for epoch in range(1, cfg.epochs + 1):
         lr = lr_at_epoch(cfg, epoch)
         perm = RngStream(cfg.data_seed, epoch).generator().permutation(n)
-        step_losses = []
         for b in range(steps_per_epoch):
             idx = perm[b * bs : min((b + 1) * bs, n)]
             x, t = dataset.inputs[idx], dataset.targets[idx]
-            loss_before, g = loss_and_gradient(net, x, t, cfg.loss)
+            loss_before, g = loss_and_gradient(net, x, t, cfg.loss, lane)
             if initial_loss is None:
                 initial_loss = loss_before
+            if pending is not None:
+                record(*pending)
             g_sq = float(g @ g)
             probed = step % probe_every == 0
             if probed and g_sq > 0.0:
                 hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss, g)
-                exact_half = 0.5 * hess * g_sq
+                curvatures = (hess, gn, fun, 0.5 * hess * g_sq)
             else:
-                hess = gn = fun = exact_half = None
-            for w, dw in zip(net.weights, index.unflatten(g)):
-                dw *= lr  # in g itself: no temporary of a layer's size
-                w -= dw
-            del g, dw  # not alive while the next step's gradient is built
-            loss_after = batch_loss(net, x, t, cfg.loss)
-            records.append(
-                CurvatureRecord(
-                    step=step,
-                    epoch=epoch,
-                    lr=lr,
-                    loss=loss_before,
-                    grad_norm_sq=g_sq,
-                    # A zero-rate step realizes no loss change; the one-step
-                    # estimator is undefined there.
-                    estimator=estimate_curvature(loss_before, loss_after, g_sq, lr)
-                    if lr > 0.0
-                    else float("nan"),
-                    exact_half_quadform=exact_half,
-                    hessian_proj=hess,
-                    gauss_newton_proj=gn,
-                    functional_proj=fun,
-                )
-            )
-            step_losses.append(loss_before)
+                curvatures = (None,) * 4
+            _descend(list(zip(net.weights, index.unflatten(g))), lr, lane)
+            del g  # not alive while the next step's gradient is built
+            post_step = lane.submit(batch_loss, net, x, t, cfg.loss)
+            pending = (step, epoch, lr, loss_before, g_sq, curvatures, post_step,
+                       b == steps_per_epoch - 1)
             step += 1
-            # Written so that a NaN loss, which fails every comparison, aborts too.
-            if not loss_after <= cfg.divergence_ratio * max(initial_loss, 1e-300):
-                partial = RunLog(records, epoch_losses + [float(np.mean(step_losses))],
-                                 time.perf_counter() - start_time)
-                cause = (f"exceeded {cfg.divergence_ratio:.1e} x initial {initial_loss:.3e}"
-                         if np.isfinite(loss_after) else "is not finite")
-                raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step - 1}",
-                                      partial_log=partial)
-        epoch_losses.append(float(np.mean(step_losses)))
+    if pending is not None:
+        record(*pending)
     if cfg.epochs == 0:
         loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
         if not np.isfinite(loss):
             raise DivergenceError(f"initial loss {loss:.3e} is not finite")
         epoch_losses.append(loss)
     return RunLog(records, epoch_losses, time.perf_counter() - start_time)
+
+
+def _descend(layers, lr: float, lane: Lane) -> None:
+    """w -= lr * dw for every (w, dw) of layers, alternate ones on lane."""
+    on_lane = lane.submit(_descend_layers, layers[::2], lr)
+    _descend_layers(layers[1::2], lr)
+    on_lane.result()
+
+
+def _descend_layers(layers, lr: float) -> None:
+    for w, dw in layers:
+        dw *= lr  # in the gradient itself: no temporary of a layer's size
+        w -= dw
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .parallel import INLINE, Lane
+
 # A yielded block holds at most this many cells, or one row if a row holds more.
 CHUNK_CELLS = 1 << 14
 
@@ -41,24 +43,36 @@ _POINT, _ZERO, _MINUS, _SEP = range(_WIDTH, _WIDTH + 4)
 _N_FAST = 2 * (_EMAX - _EMIN + 1) * 17  # layouts by sign, exponent, digits kept
 
 
-def g17(a: np.ndarray, sep: str):
+def g17(a: np.ndarray, sep: str, lane: Lane = INLINE):
     """Yield the rows of a 2-D float64 array as text, in blocks of whole
     rows (see CHUNK_CELLS): each cell '%.17g' % v, cells joined by the one
-    character sep, every row ended by a newline."""
-    yield from _blocks(a, sep, _g17_cells)
+    character sep, every row ended by a newline.  Alternate blocks are
+    formatted on lane."""
+    yield from _blocks(a, sep, _g17_cells, lane)
 
 
-def short(a: np.ndarray, sep: str):
+def short(a: np.ndarray, sep: str, lane: Lane = INLINE):
     """As g17, with each cell repr(v)."""
-    yield from _blocks(a, sep, _short_cells)
+    yield from _blocks(a, sep, _short_cells, lane)
 
 
-def _blocks(a, sep, cells):
+def _blocks(a, sep, cells, lane):
     n_rows, n_cols = a.shape
-    step = max(1, CHUNK_CELLS // n_cols)
-    for start in range(0, n_rows, step):
+    # A thread lane has two blocks in flight: half-size ones hold the
+    # formatter's temporaries at those of one full block.
+    step = max(1, CHUNK_CELLS // (2 if lane.threaded else 1) // n_cols)
+
+    def block(start):
         x = a[start : start + step].ravel()
-        yield _text(x, n_cols, sep, *cells(np.abs(x)))
+        return _text(x, n_cols, sep, *cells(np.abs(x)))
+
+    starts = range(0, n_rows, step)
+    for i in range(0, len(starts), 2):
+        ahead = lane.submit(block, starts[i])
+        behind = block(starts[i + 1]) if i + 1 < len(starts) else None
+        yield ahead.result()
+        if behind is not None:
+            yield behind
 
 
 def _g17_cells(ax):

@@ -30,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ActivationError, DimensionError
+from .parallel import INLINE, Lane
 from .rng import GAUSSIAN, InitDistribution, RngStream, as_generator
 
 IDENTITY = "identity"
@@ -289,12 +290,13 @@ def interlayer_jacobian(
     return out
 
 
-def save_network(net: Network, path) -> None:
+def save_network(net: Network, path, lane: Lane = INLINE) -> None:
     """Write a self-describing text file: widths header + row-major blocks.
 
     Every weight is written as '%.17g' % w, which reads back bit for bit.
     floattext.g17 formats it, exactly and a block of rows at a time, so
-    the writer holds one block's text, never a layer's Python floats.
+    the writer holds one block's text, never a layer's Python floats; it
+    formats alternate blocks on lane.
     """
     from .floattext import g17  # here, so that commands which write no arrays never compile it
 
@@ -304,7 +306,7 @@ def save_network(net: Network, path) -> None:
         for l, w in enumerate(net.weights, start=1):
             rows, cols = w.shape
             fh.write(f"layer {l} {rows}x{cols}\n")
-            fh.writelines(g17(w, " "))
+            fh.writelines(g17(w, " ", lane))
 
 
 def load_network(path, strict: bool = True) -> Network:

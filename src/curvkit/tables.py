@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .parallel import INLINE, Lane
+
 
 def format_cell(value) -> str:
     if value is None:
@@ -16,18 +18,19 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, schema: str, header: list[str], rows) -> None:
+def write_csv(path, schema: str, header: list[str], rows, lane: Lane = INLINE) -> None:
     """Write a header and rows; a 2-D float64 array is written in row blocks.
 
     floattext.short writes each cell of the array as its exact repr, which
     is format_cell's text of a float, so both paths write the same bytes.
+    It formats alternate blocks on lane.
     """
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"# schema={schema}\n" + ",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
             from .floattext import short  # as in network.save_network
 
-            fh.writelines(short(rows, ","))
+            fh.writelines(short(rows, ",", lane))
             return
         for row in rows:
             fh.write(",".join(format_cell(v) for v in row) + "\n")

@@ -255,6 +255,9 @@ class TestTrain:
         assert manifest["config"]["train"]["lr"] == 0.05
         assert "timing_s" in manifest
         assert 0.0 < manifest["wall_time_s"] <= manifest["timing_s"] + 1e-3
+        # A 6-wide net is below the lane's size cut: no helper thread.
+        assert manifest["step_lane"] == "inline"
+        assert manifest["blas_threads"] is None or manifest["blas_threads"] >= 1
 
     def test_non_finite_loss_exit_code(self, tmp_path):
         # lr = 1e150 overflows the first step to a NaN loss, which no

@@ -16,7 +16,7 @@ from curvkit import (
     fd_hessian,
     hvp,
     init_network,
-    loss_gradient,
+    loss_and_gradient,
     psd_check,
     squared_error,
 )
@@ -104,7 +104,7 @@ class TestProjection:
         net = random_net((3, 3, 1), 76)
         gen = RngStream(77, 0).generator()
         xs = gen.standard_normal((3, 3))
-        g = loss_gradient(net, xs, 1.0, squared_error())
+        g = loss_and_gradient(net, xs, 1.0, squared_error())[1]
         dense = fd_hessian(net, xs, 1.0, squared_error())
         via_dense = curvature_projection(dense, g)
         via_op = curvature_projection(lambda v: hvp(net, xs, 1.0, squared_error(), v), g)
@@ -188,7 +188,7 @@ class TestEstimator:
         from curvkit import batch_loss
 
         base = batch_loss(net, xs, ts, loss)
-        g = loss_gradient(net, xs, ts, loss)
+        g = loss_and_gradient(net, xs, ts, loss)[1]
         g_sq = float(g @ g)
         exact_half = 0.5 * float(g @ hvp(net, xs, ts, loss, g))
         errors = []

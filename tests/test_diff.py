@@ -21,7 +21,6 @@ from curvkit import (
     hvp,
     init_network,
     loss_and_gradient,
-    loss_gradient,
     output_gradient,
     output_hessian,
     output_hessian_grad_product,
@@ -34,6 +33,7 @@ from curvkit.curvature import curvature_projection
 import curvkit.diff
 import curvkit.network
 from curvkit.diff import _QUART_EPS, _FdStencil
+from curvkit.network import batch_forward
 
 
 def chain(weights, activation="identity"):
@@ -127,24 +127,24 @@ class TestOutputGradient:
 
 class TestLossGradient:
     def test_hand_value(self):
-        g = loss_gradient(chain([1.0, 1.0]), [[1.0]], [0.0], squared_error())
+        g = loss_and_gradient(chain([1.0, 1.0]), [[1.0]], [0.0], squared_error())[1]
         assert np.allclose(g, [2.0, 2.0], atol=0)
 
     def test_zero_at_exact_fit(self):
         net = chain([2.0, 3.0])
-        g = loss_gradient(net, [[1.0]], [6.0], squared_error())
+        g = loss_and_gradient(net, [[1.0]], [6.0], squared_error())[1]
         assert np.array_equal(g, [0.0, 0.0])
 
     def test_duplicated_sample_equals_single(self):
         net = random_net((3, 2, 1), 31)
         x = np.array([[0.1, 0.5, -0.4]])
-        single = loss_gradient(net, x, [1.0], squared_error())
-        double = loss_gradient(net, np.vstack([x, x]), [1.0, 1.0], squared_error())
+        single = loss_and_gradient(net, x, [1.0], squared_error())[1]
+        double = loss_and_gradient(net, np.vstack([x, x]), [1.0, 1.0], squared_error())[1]
         assert np.allclose(single, double, atol=1e-16)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionError):
-            loss_gradient(chain([1.0]), np.empty((0, 1)), [], squared_error())
+            loss_and_gradient(chain([1.0]), np.empty((0, 1)), [], squared_error())
 
     @pytest.mark.parametrize("activation", ["identity", "relu"])
     def test_matches_finite_differences(self, activation):
@@ -153,7 +153,7 @@ class TestLossGradient:
             gen = RngStream(400 + seed, 0).generator()
             xs = gen.standard_normal((5, 4))
             ts = gen.integers(0, 2, 5) * 2.0 - 1.0
-            g = loss_gradient(net, xs, ts, squared_error())
+            g = loss_and_gradient(net, xs, ts, squared_error())[1]
 
             def f(w):
                 return batch_loss(net.with_params(w), xs, ts, squared_error())
@@ -166,7 +166,10 @@ class TestLossGradient:
         xs = RngStream(33, 0).generator().standard_normal((4, 3))
         value, g = loss_and_gradient(net, xs, 1.0, squared_error())
         assert value == pytest.approx(batch_loss(net, xs, 1.0, squared_error()), rel=0)
-        assert np.array_equal(g, loss_gradient(net, xs, 1.0, squared_error()))
+        # The mean of the per-sample output gradients, each times its loss slope.
+        slopes = squared_error().d1(batch_forward(net, xs).outputs, 1.0)
+        parts = slopes @ per_sample_output_gradients(net, xs) / len(xs)
+        assert np.allclose(g, parts, rtol=1e-14, atol=1e-15)
 
 
 class TestOutputHessianDense:

@@ -1,8 +1,14 @@
-from dataclasses import fields
+import sys
+import threading
+import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+import curvkit.experiment
+import curvkit.floattext
+import curvkit.parallel
 from curvkit import (
     Architecture,
     DimensionError,
@@ -16,6 +22,7 @@ from curvkit import (
     load_dataset,
     lr_at_epoch,
     save_dataset,
+    save_network,
     sgd_train,
     width_sweep,
 )
@@ -291,3 +298,83 @@ class TestWidthSweep:
         schema, header, rows = read_csv(path)
         assert schema == "curvkit.sweep.v1"
         assert len(rows) == 4
+
+
+def lane_run(cfg, lane, n_samples=24):
+    """fresh_run on a lane, warnings as errors: (the log or the divergence
+    error, the net, the dataset)."""
+    dataset = generate_dataset(n_samples, cfg.architecture.widths[0], cfg.data_seed)
+    net = init_network(
+        cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
+        rectifier_gain=cfg.effective_init_gain,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return sgd_train(net, dataset, cfg, lane), net, dataset
+        except DivergenceError as exc:
+            return exc, net, dataset
+
+
+def rows(records):
+    """Records as runlog rows of reprs: equal even where a field is NaN."""
+    return [tuple(map(repr, astuple(r))) for r in records]
+
+
+class TestThreadLane:
+    """A thread lane runs the same calls on the same operands as the inline
+    lane, so every record, weight and written byte is the same."""
+
+    def test_same_run_and_bytes(self, thread_lane, tmp_path, monkeypatch):
+        # Three steps per epoch, probes at steps 0, 2, 4, ...: probe steps,
+        # epoch boundaries and a learning-rate halving.
+        cfg = small_config(probe_every=2, epochs=5)
+        # Small text blocks, so that both lanes write several, an odd count
+        # per layer included.
+        monkeypatch.setattr(curvkit.floattext, "CHUNK_CELLS", 30)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads hand over often: a missed wait shows
+        try:
+            for name, lane in (("inline", curvkit.parallel.INLINE), ("thread", thread_lane)):
+                log, net, dataset = lane_run(cfg, lane)
+                save_network(net, tmp_path / f"{name}.txt", lane)
+                save_dataset(dataset, tmp_path / f"{name}.csv", lane)
+                runs[name] = log, net
+        finally:
+            sys.setswitchinterval(interval)
+        (log_i, net_i), (log_t, net_t) = runs["inline"], runs["thread"]
+        assert len(log_i.records) == 15 and log_i.probed()
+        assert rows(log_t.records) == rows(log_i.records)
+        assert log_t.epoch_losses == log_i.epoch_losses
+        assert all(np.array_equal(a, b) for a, b in zip(net_t.weights, net_i.weights))
+        for suffix in ("txt", "csv"):
+            assert (tmp_path / f"thread.{suffix}").read_bytes() == (tmp_path / f"inline.{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("lr, step", [
+        (5.0, 2),  # the last step of epoch 1
+        (20.0, 1),  # mid-epoch
+        (1e150, 0),  # a NaN loss
+    ])
+    def test_same_divergence(self, thread_lane, lr, step):
+        cfg = small_config(learning_rate=lr, epochs=4, divergence_ratio=1e6)
+        errors = [lane_run(cfg, lane)[0] for lane in (curvkit.parallel.INLINE, thread_lane)]
+        assert all(isinstance(e, DivergenceError) for e in errors)
+        inline, thread = errors
+        assert str(thread) == str(inline) and str(inline).endswith(f"at step {step}")
+        assert rows(thread.partial_log.records) == rows(inline.partial_log.records)
+        assert len(inline.partial_log.records) == step + 1
+        assert thread.partial_log.epoch_losses == inline.partial_log.epoch_losses
+        assert len(inline.partial_log.epoch_losses) == 1
+
+    def test_lane_task_exception_propagates(self, monkeypatch):
+        def failing_loss(*args):
+            raise ValueError("loss pass failed")
+
+        monkeypatch.setattr(curvkit.parallel, "_lane_pays", lambda largest_matrix: True)
+        monkeypatch.setattr(curvkit.experiment, "batch_loss", failing_loss)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="loss pass failed"):
+            with curvkit.parallel.open_lane(0) as lane:
+                lane_run(small_config(), lane)
+        assert threading.active_count() == before

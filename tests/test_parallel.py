@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -134,3 +136,111 @@ def test_importing_the_cli_imports_no_pool_machinery():
     out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+class TestLane:
+    def test_inline_lane_runs_at_submit(self):
+        calls = []
+        done = curvkit.parallel.INLINE.submit(lambda a, b: calls.append(a) or a + b, 2, 3)
+        assert calls == [2]
+        assert done.result() == 5
+        assert not curvkit.parallel.INLINE.threaded
+
+    def test_thread_lane_calls_run_under_the_callers_error_state(self, thread_lane):
+        with np.errstate(over="ignore", divide="raise"):
+            tasks = [thread_lane.submit(np.geterr) for _ in range(5)]
+        for task in tasks:
+            assert task.result()["over"] == "ignore"
+            assert task.result()["divide"] == "raise"
+
+    def test_call_not_started_runs_in_the_caller(self, thread_lane):
+        started, release = threading.Event(), threading.Event()
+
+        def hold():
+            started.set()
+            return release.wait(30) and threading.get_ident()
+
+        busy = thread_lane.submit(hold)
+        queued = thread_lane.submit(threading.get_ident)
+        assert started.wait(30)
+        assert queued.result() == threading.get_ident()  # while the thread is busy
+        release.set()
+        assert busy.result() not in (False, threading.get_ident())
+
+    def test_task_exception_reraises_at_result(self, thread_lane):
+        def fail():
+            raise ValueError("in the lane")
+
+        task = thread_lane.submit(fail)
+        with pytest.raises(ValueError, match="in the lane"):
+            task.result()
+        assert thread_lane.submit(int, "7").result() == 7
+
+    def test_closing_stops_the_thread_after_an_abort(self, monkeypatch):
+        monkeypatch.setattr(curvkit.parallel, "_lane_pays", lambda largest_matrix: True)
+        before, start = threading.active_count(), time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            with curvkit.parallel.open_lane(0) as lane:
+                lane.submit(time.sleep, 0.05)
+                lane.submit(time.sleep, 60)  # dropped: never started
+                assert threading.active_count() == before + 1
+                raise KeyboardInterrupt
+        assert threading.active_count() == before
+        assert time.perf_counter() - start < 30
+
+
+class TestLaneSelection:
+    @pytest.mark.parametrize("cpus, blas, entries", [
+        (1, 1, 1 << 20),  # no second CPU
+        (2, 2, 1 << 20),  # BLAS already uses the second CPU
+        (2, None, 1 << 20),  # a BLAS whose threads cannot be read
+        (2, 1, (1 << 14) - 1),  # products too small to pay for a hand-off
+    ])
+    def test_inline(self, monkeypatch, cpus, blas, entries):
+        _usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(curvkit.parallel, "blas_threads", lambda: blas)
+        before = threading.active_count()
+        with curvkit.parallel.open_lane(entries) as lane:
+            assert lane is curvkit.parallel.INLINE
+            assert threading.active_count() == before
+
+    def test_thread(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(curvkit.parallel, "blas_threads", lambda: 1)
+        before = threading.active_count()
+        with curvkit.parallel.open_lane(1 << 14) as lane:
+            assert lane.threaded
+            assert lane.submit(sum, [1, 2]).result() == 3
+            assert threading.active_count() == before + 1
+        assert threading.active_count() == before
+
+    def test_blas_threads_read_from_the_bundled_openblas(self):
+        # One BLAS thread pinned by the environment reads back as 1, unless
+        # numpy links a BLAS other than its bundled OpenBLAS.
+        env = {**child_env(), "OPENBLAS_NUM_THREADS": "1"}
+        probe = "import curvkit.parallel as p; print(p.blas_threads())"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() in ("1", "None")
+
+
+class TestLaneBinding:
+    @pytest.mark.parametrize("caller, bound", [(0, {1}), (1, {3}), (2, {3}), (3, {0}), (7, {0})])
+    def test_binds_to_the_usable_cpu_after_the_callers(self, monkeypatch, caller, bound):
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
+                            raising=False)
+        curvkit.parallel._bind_next_cpu(caller)
+        assert calls == [(0, bound)]
+
+    def test_unknown_caller_cpu_leaves_the_thread_unbound(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus),
+                            raising=False)
+        curvkit.parallel._bind_next_cpu(None)
+        assert calls == []
+
+    def test_caller_cpu_is_usable_or_unknown(self):
+        cpu = curvkit.parallel._caller_cpu()
+        assert cpu is None or cpu in os.sched_getaffinity(0)
