@@ -4,13 +4,17 @@ Commands: check (oracle-equivalence suite), theory (Monte Carlo claim
 checks), train (one logged run), sweep (width x seed grid).  A single INI
 config file is the source of truth; flags override individual keys.
 
+run_checks holds the one copy of the oracle comparisons and tolerances:
+check runs it on the configured net, acceptance criteria 01-04 on theirs.
+
 main owns each run's lifecycle.  A configuration error (a malformed or
 invalid config, an unusable output directory, or inputs the command refuses)
 exits 2 and writes no manifest.  Past configuration, main times the command
 and writes the one manifest.json, an aborted run included: the merged config,
-the timing and the command's results.  A divergence or a zero gradient aborts
-with exit 3 and records its cause under "aborted"; only train flushes the
-partial runlog.csv it reached.
+the timing and the results the command had recorded (train records its step
+lane and BLAS threads before its first step).  A divergence or a zero
+gradient aborts with exit 3 and adds its cause under "aborted"; only train
+flushes the partial runlog.csv it reached.
 
 Exit codes: 0 success, 1 check or statistical failure, 2 configuration
 error, 3 runtime abort.
@@ -33,6 +37,7 @@ import numpy as np
 from . import __version__
 from .curvature import decompose, estimate_curvature, psd_check
 from .diff import (
+    LossFunction,
     fd_hessian,
     ggn_vp,
     hvp,
@@ -260,13 +265,15 @@ def _relative(num: float, den: float) -> float:
     return num / max(den, 1e-300)
 
 
-def _run_checks(net: Network, cfg: dict) -> list[dict]:
-    gen = RngStream(cfg["data"]["seed"], AUX_STREAM).generator()
-    n0 = net.arch.widths[0]
-    inputs = gen.standard_normal((4, n0))
-    inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
-    targets = gen.integers(0, 2, size=4).astype(np.float64) * 2.0 - 1.0
-    loss = squared_error()
+def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction,
+               gen: np.random.Generator) -> list[dict]:
+    """The oracle-equivalence suite: one row (name, value, tolerance, passed)
+    per comparison of an exact route with its oracle, in a fixed order.
+
+    The output-Hessian rows take inputs[0]; the loss rows take the whole
+    batch.  The matrix-free rows draw their 50 directions from gen.  A row
+    passes when its value is at most its tolerance, so NaN fails.
+    """
     checks: list[dict] = []
 
     def add(name: str, value: float, tolerance: float) -> None:
@@ -328,7 +335,7 @@ def _run_checks(net: Network, cfg: dict) -> list[dict]:
     return checks
 
 
-def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
     weights_path = args.weights
     if weights_path is not None:
         try:
@@ -355,7 +362,11 @@ def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, 
             f"{source}check requires at least two weight layers "
             "(the output Hessian of a one-layer net is identically zero)"
         )
-    checks = _run_checks(net, cfg)
+    gen = RngStream(cfg["data"]["seed"], AUX_STREAM).generator()
+    inputs = gen.standard_normal((4, net.arch.widths[0]))
+    inputs /= np.linalg.norm(inputs, axis=1, keepdims=True)
+    targets = gen.integers(0, 2, size=4).astype(np.float64) * 2.0 - 1.0
+    checks = run_checks(net, inputs, targets, squared_error(), gen)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}")
     failures = [c for c in checks if not c["passed"]]
@@ -364,7 +375,8 @@ def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, 
         print(f"FAILED: first failing check is {failures[0]['name']}", file=sys.stderr)
     else:
         print("all checks passed")
-    return (1 if failures else 0), {"n_failures": len(failures)}
+    results["n_failures"] = len(failures)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +390,6 @@ def _mc_config(cfg: dict) -> McConfig:
     return McConfig(
         widths=tuple(cfg["arch"]["widths"]),
         distribution=cfg["init"]["distribution"],
-        input_mode="fixed",
         n_trials=cfg["mc"]["trials"],
         master_seed=cfg["mc"]["seed"],
     )
@@ -403,7 +414,7 @@ def _require_constant_shape(widths: tuple[int, ...]) -> None:
         raise ConfigError("this subcommand expects constant-shape widths (all equal except the output)")
 
 
-def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
     sub, threads = args.subcommand, args.threads
     mc = _mc_config(cfg)
     tcfg = cfg["theory"]
@@ -519,7 +530,8 @@ def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int,
             [[" ".join(map(str, mc.widths)), summary.n_trials, summary.mean, summary.stderr,
               ratio, second_moment, predicted, passed]],
         )
-    return (0 if passed else 1), extra
+    results.update(extra)
+    return 0 if passed else 1
 
 
 def _write_deviation(path, table) -> None:
@@ -568,10 +580,12 @@ def _train_config(cfg: dict) -> TrainConfig:
     )
 
 
-def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
     tc = _train_config(cfg)
     widths = tc.architecture.widths
     with open_lane(max(a * b for a, b in zip(widths, widths[1:]))) as lane:
+        results["step_lane"] = "thread" if lane.threaded else "inline"
+        results["blas_threads"] = blas_threads()
         dataset = generate_dataset(cfg["data"]["n_samples"], widths[0], tc.data_seed)
         save_dataset(dataset, out_dir / "dataset.csv", lane)
         net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
@@ -580,27 +594,27 @@ def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, 
         log.to_csv(out_dir / "runlog.csv")
         save_network(net, out_dir / "network_final.txt", lane)
     print(f"final loss {log.final_loss:.6f}, positivity {log.positivity_fraction():.3f}")
-    return 0, {
-        "final_loss": log.final_loss,
-        "positivity_fraction": log.positivity_fraction(),
-        "n_steps": len(log.records),
-        "wall_time_s": log.wall_time_s,
-        "step_lane": "thread" if lane.threaded else "inline",
-        "blas_threads": blas_threads(),
-    }
+    results.update(
+        final_loss=log.final_loss,
+        positivity_fraction=log.positivity_fraction(),
+        n_steps=len(log.records),
+        wall_time_s=log.wall_time_s,
+    )
+    return 0
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path) -> tuple[int, dict]:
+def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
     report = width_sweep(_train_config(cfg), cfg["sweep"]["widths"], cfg["sweep"]["n_seeds"],
                          cfg["data"]["n_samples"], args.threads)
     report.to_csv(out_dir / "sweep.csv")
     means = report.mean_init_functional_abs()
     print(f"verdict: {report.verdict}")
-    return (1 if report.verdict == "not-decreasing" else 0), {
-        "verdict": report.verdict,
-        "mean_init_H_proj_abs": {str(w): means[w] for w in report.widths},
-        "dataset_seeds": {str(w): s for w, s in report.dataset_seeds.items()},
-    }
+    results.update(
+        verdict=report.verdict,
+        mean_init_H_proj_abs={str(w): means[w] for w in report.widths},
+        dataset_seeds={str(w): s for w, s in report.dataset_seeds.items()},
+    )
+    return 1 if report.verdict == "not-decreasing" else 0
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Each command writes its own outputs and returns (exit code, manifest results).
+# Each command writes its own outputs, adds its manifest results to the dict it
+# is handed as it learns them, and returns its exit code.
 COMMANDS = {"check": cmd_check, "theory": cmd_theory, "train": cmd_train, "sweep": cmd_sweep}
 
 
@@ -653,14 +668,15 @@ def main(argv=None) -> int:
             _validate_config(cfg)
         out_dir = _prepare_out(cfg, args.out)
         started = time.perf_counter()
+        results: dict = {}
         try:
-            code, results = COMMANDS[args.command](args, cfg, out_dir)
+            code = COMMANDS[args.command](args, cfg, out_dir, results)
         except (DivergenceError, DirectionError) as exc:
             partial_log = getattr(exc, "partial_log", None)
             if partial_log is not None:
                 partial_log.to_csv(out_dir / "runlog.csv")
             print(f"aborted: {exc}", file=sys.stderr)
-            code, results = 3, {"aborted": str(exc)}
+            code, results["aborted"] = 3, str(exc)
         _write_manifest(out_dir, command, cfg, results, started)
         return code
     except ConfigError as exc:

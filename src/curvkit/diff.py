@@ -263,14 +263,6 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _jacobian(net: Network, trace: BatchTrace, from_layer: int, to_layer: int) -> np.ndarray:
-    """interlayer_jacobian with J(m, m) = I: an adjacent layer pair is the
-    empty product of weight matrices."""
-    if from_layer == to_layer:
-        return np.eye(net.arch.widths[from_layer])
-    return interlayer_jacobian(net, trace, from_layer, to_layer)
-
-
 def output_hessian(net: Network, x) -> np.ndarray:
     """Dense P x P Hessian of the scalar output w.r.t. all weights.
 
@@ -306,9 +298,9 @@ def output_hessian(net: Network, x) -> np.ndarray:
         rows = index.layer_slice(k - 1)
         for l in range(1, depth + 1):
             if l < k:
-                block = np.einsum("i,uj,v->ijuv", a[k], _jacobian(net, trace, l, k - 1), y[l - 1])
+                block = np.einsum("i,uj,v->ijuv", a[k], interlayer_jacobian(net, trace, l, k - 1), y[l - 1])
             elif l > k:
-                block = np.einsum("u,iv,j->ijuv", a[l], _jacobian(net, trace, k, l - 1), y[k - 1])
+                block = np.einsum("u,iv,j->ijuv", a[l], interlayer_jacobian(net, trace, k, l - 1), y[k - 1])
             else:
                 continue  # a layer's own block is zero
             hess[rows, index.layer_slice(l - 1)] = block.reshape(widths[k] * widths[k - 1], -1)
@@ -345,10 +337,10 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     for l in range(1, depth + 1):
         above = np.zeros(widths[l])
         for k in range(l + 1, depth + 1):
-            above += float(a[k] @ a[k]) * (_jacobian(net, trace, l, k - 1) @ y[k - 1])
+            above += float(a[k] @ a[k]) * (interlayer_jacobian(net, trace, l, k - 1) @ y[k - 1])
         below = np.zeros(widths[l - 1])
         for k in range(1, l):
-            below += float(y[k - 1] @ y[k - 1]) * (_jacobian(net, trace, k, l - 1).T @ a[k])
+            below += float(y[k - 1] @ y[k - 1]) * (interlayer_jacobian(net, trace, k, l - 1).T @ a[k])
         delta = np.outer(y[l - 1], above) + np.outer(below, a[l])
         blocks.append(delta.ravel(order="F"))
     return np.concatenate(blocks)

@@ -274,12 +274,15 @@ def interlayer_jacobian(
     from_layer) at the point of a single-input trace.  For identity
     activation this is the plain product of the intervening weight matrices;
     for relu each hidden factor is masked by the trace's active units.
+    J(m, m) = I, the empty product.
     """
     if trace.activations[0].ndim != 1:
         raise DimensionError("interlayer_jacobian takes a single-input trace")
     depth = net.depth
-    if not 0 <= from_layer < to_layer <= depth:
-        raise IndexError(f"need 0 <= from_layer < to_layer <= {depth}, got ({from_layer}, {to_layer})")
+    if not 0 <= from_layer <= to_layer <= depth:
+        raise IndexError(f"need 0 <= from_layer <= to_layer <= {depth}, got ({from_layer}, {to_layer})")
+    if from_layer == to_layer:
+        return np.eye(net.arch.widths[from_layer])
     relu = net.arch.activation == RELU
     out = None
     for l in range(from_layer + 1, to_layer + 1):

@@ -45,19 +45,16 @@ from .rng import AUX_STREAM, DISTRIBUTION_KINDS, GAUSSIAN, InitDistribution, Rng
 from .diff import output_gradient, output_hessian_grad_product, output_hessian_vp  # noqa: F401
 from .network import forward, init_network  # noqa: F401
 
-INPUT_FIXED = "fixed"
-INPUT_FRESH = "fresh"
-
 DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1e-3, 8.0, 40))
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """One Monte Carlo ensemble: architecture, init law, inputs, size, seed."""
+    """One Monte Carlo ensemble: architecture, init law, size, seed.  Every
+    trial reads the same fixed unit-norm inputs (see _fixed_inputs)."""
 
     widths: tuple[int, ...]
     distribution: str = GAUSSIAN
-    input_mode: str = INPUT_FIXED
     n_trials: int = 1000
     master_seed: int = 0
 
@@ -65,8 +62,6 @@ class McConfig:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if self.distribution not in DISTRIBUTION_KINDS:
             raise DimensionError(f"unknown distribution kind: {self.distribution!r}")
-        if self.input_mode not in (INPUT_FIXED, INPUT_FRESH):
-            raise DimensionError(f"unknown input mode {self.input_mode!r}")
         if self.n_trials < 2:
             raise DimensionError("need at least 2 trials for variance estimates")
         Architecture(self.widths, IDENTITY)  # validates widths
@@ -106,10 +101,8 @@ def _unit_vector(gen: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _fixed_inputs(cfg: McConfig, count: int) -> tuple[np.ndarray, ...] | None:
-    """Shared unit-norm inputs of fixed-input ensembles (aux stream), or None."""
-    if cfg.input_mode != INPUT_FIXED:
-        return None
+def _fixed_inputs(cfg: McConfig, count: int) -> tuple[np.ndarray, ...]:
+    """The unit-norm inputs every trial shares, drawn from the aux stream."""
     gen = RngStream(cfg.master_seed, AUX_STREAM).generator()
     return tuple(_unit_vector(gen, cfg.widths[0]) for _ in range(count))
 
@@ -167,12 +160,11 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
 
     Trial i draws from RngStream(master_seed, i), in this order: the network,
     layer by layer, by InitDistribution.sample straight into the block's
-    weight stacks (the bits init_network would draw), the input u in fresh
-    mode, then the ensemble's tail -- the second input v for the cross
-    ensemble, the +-1 target sign otherwise (cross rows carry sign 0).
-    fixed holds the shared fixed-mode inputs (u, or u and v) and is None in
-    fresh mode.  Rows depend only on their own trial, so the table does not
-    depend on how [0, n) is split into ranges or blocks.
+    weight stacks (the bits init_network would draw), then the +-1 target
+    sign, except in the cross ensemble (whose rows carry sign 0).  fixed
+    holds the shared inputs (u, or u and v).  Rows depend only on their own
+    trial, so the table does not depend on how [0, n) is split into ranges
+    or blocks.
     """
     arch = cfg.architecture
     n0 = arch.widths[0]
@@ -181,9 +173,8 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
     dists = [InitDistribution(cfg.distribution, m) for m, _ in shapes]
     ws = [np.empty((block, m, n)) for m, n in shapes]
     inputs = [np.empty((block, 1, n0)) for _ in range(2 if cross else 1)]
-    if fixed is not None:
-        for buf, vec in zip(inputs, fixed):
-            buf[:] = vec
+    for buf, vec in zip(inputs, fixed):
+        buf[:] = vec
     signs = np.zeros(block)
     out = np.empty((stop - start, 4))
     for b0 in range(start, stop, block):
@@ -192,9 +183,6 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
             gen = RngStream(cfg.master_seed, b0 + j).generator()
             for dist, shape, stack in zip(dists, shapes, ws):
                 dist.sample(shape, gen, out=stack[j])
-            if fixed is None:
-                for buf in inputs:
-                    buf[j, 0] = _unit_vector(gen, n0)
             if not cross:
                 signs[j] = float(gen.integers(0, 2)) * 2.0 - 1.0
         rows = out[b0 - start : b0 - start + t]

@@ -15,6 +15,7 @@ import pytest
 
 import curvkit as ck
 from cli_env import child_env
+from curvkit.cli import run_checks
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -40,10 +41,20 @@ def random_linear_nets(n_extra_max: int = 3):
     return nets
 
 
-def unit_input(net, seed):
-    gen = ck.RngStream(seed, 0).generator()
-    x = gen.standard_normal(net.arch.widths[0])
+def unit_input(gen, width):
+    x = gen.standard_normal(width)
     return x / np.linalg.norm(x)
+
+
+def oracle_rows(net, inputs, targets, gen, *names):
+    """The rows of the given names from the oracle suite `check` runs."""
+    return [r for r in run_checks(net, inputs, targets, ck.squared_error(), gen) if r["name"] in names]
+
+
+def worst(rows):
+    """The largest value among rows (NaN if any is NaN) and their tolerance,
+    spelled for a criterion line."""
+    return f"{float(np.max([r['value'] for r in rows])):.2e}", f"{rows[0]['tolerance']:.0e}"
 
 
 def toy_config(width: int, activation: str = "relu") -> ck.TrainConfig:
@@ -74,44 +85,41 @@ def toy_runs():
 
 
 # ---------------------------------------------------------------------------
-# 1 & 2: closed-form output Hessian against its oracles
+# 1-4: exact routes against their oracles, as `check` compares them.  Each
+# criterion gates its rows of run_checks, each row at its own tolerance.
 # ---------------------------------------------------------------------------
 
 
 def test_c01_output_hessian_matches_fd_oracle():
     nets = random_linear_nets()
-    worst = 0.0
+    rows = []
     for i, net in enumerate(nets):
-        x = unit_input(net, 3000 + i)
-        dense = ck.output_hessian(net, x)
-        fd = ck.fd_hessian(net, x, 0.0, ck.raw_output())
-        worst = max(worst, np.linalg.norm(dense - fd) / np.linalg.norm(fd))
-    passed = worst <= 1e-5
-    report(1, "closed-form output Hessian vs FD", passed, f"worst rel Frobenius {worst:.2e} over {len(nets)} nets (tol 1e-5)")
+        gen = ck.RngStream(3000 + i, 0).generator()
+        x = unit_input(gen, net.arch.widths[0])
+        rows += oracle_rows(net, x[None], np.ones(1), gen, "output-hessian-vs-fd")
+    passed = all(r["passed"] for r in rows)
+    value, tol = worst(rows)
+    report(1, "closed-form output Hessian vs FD", passed,
+           f"worst rel Frobenius {value} over {len(nets)} nets (tol {tol})")
     assert passed
 
 
 def test_c02_case_formula_matches_dense_product():
     nets = random_linear_nets()
-    worst = 0.0
+    rows = []
     for i, net in enumerate(nets):
-        x = unit_input(net, 4000 + i)
-        reference = ck.output_hessian(net, x) @ ck.output_gradient(net, x)
-        cases = ck.output_hessian_grad_product(net, x)
-        worst = max(worst, np.linalg.norm(cases - reference) / max(np.linalg.norm(reference), 1e-300))
-    passed = worst <= 1e-10
-    report(2, "layered case formula vs dense product", passed, f"worst rel {worst:.2e} over {len(nets)} nets (tol 1e-10)")
+        gen = ck.RngStream(4000 + i, 0).generator()
+        x = unit_input(gen, net.arch.widths[0])
+        rows += oracle_rows(net, x[None], np.ones(1), gen, "case-product-vs-dense")
+    passed = all(r["passed"] for r in rows)
+    value, tol = worst(rows)
+    report(2, "layered case formula vs dense product", passed,
+           f"worst rel {value} over {len(nets)} nets (tol {tol})")
     assert passed
 
 
-# ---------------------------------------------------------------------------
-# 3: decomposition against the FD loss Hessian, PSD of the curvature part
-# ---------------------------------------------------------------------------
-
-
 def test_c03_decomposition_matches_fd_and_is_psd():
-    worst_rel, worst_eig = 0.0, 0.0
-    loss = ck.squared_error()
+    fd_rows, psd_rows = [], []
     for i in range(20):
         gen = ck.RngStream(5000 + i, 0).generator()
         depth = int(gen.integers(2, 5))
@@ -120,42 +128,31 @@ def test_c03_decomposition_matches_fd_and_is_psd():
         xs = gen.standard_normal((int(gen.integers(2, 8)), widths[0]))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ts = gen.integers(0, 2, xs.shape[0]) * 2.0 - 1.0
-        dec = ck.decompose(net, xs, ts, loss)
-        fd = ck.fd_hessian(net, xs, ts, loss)
-        worst_rel = max(worst_rel, np.linalg.norm(dec.hessian - fd) / np.linalg.norm(fd))
-        psd = ck.psd_check(dec.gauss_newton)
-        worst_eig = max(worst_eig, -(psd.min_eigenvalue - psd.threshold))
-        assert psd.passed
-    passed = worst_rel <= 1e-4
-    report(3, "Hessian split vs FD + PSD part", passed, f"worst rel {worst_rel:.2e} (tol 1e-4), all 20 curvature parts PSD")
+        fd_row, psd_row = oracle_rows(net, xs, ts, gen, "decomposition-vs-fd", "gauss-newton-psd")
+        fd_rows.append(fd_row)
+        psd_rows.append(psd_row)
+    passed = all(r["passed"] for r in fd_rows + psd_rows)
+    value, tol = worst(fd_rows)
+    n_psd = sum(r["passed"] for r in psd_rows)
+    psd = f"all {n_psd}" if n_psd == len(psd_rows) else f"{n_psd} of {len(psd_rows)}"
+    report(3, "Hessian split vs FD + PSD part", passed,
+           f"worst rel {value} (tol {tol}), {psd} curvature parts PSD")
     assert passed
 
 
-# ---------------------------------------------------------------------------
-# 4: matrix-free products against dense routes
-# ---------------------------------------------------------------------------
-
-
 def test_c04_matrix_free_products_match_dense():
-    loss = ck.squared_error()
-    worst = 0.0
+    rows = []
     for i in range(5):
         gen = ck.RngStream(6000 + i, 0).generator()
         net = ck.init_network(ck.Architecture((4, 5, 4, 1)), "gaussian", ck.RngStream(6100 + i, 0))
         xs = gen.standard_normal((6, 4))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ts = gen.integers(0, 2, 6) * 2.0 - 1.0
-        dec = ck.decompose(net, xs, ts, loss)
-        for _ in range(50):
-            v = gen.standard_normal(net.param_index.n_params)
-            hv = ck.hvp(net, xs, ts, loss, v)
-            ref_h = dec.hessian @ v
-            worst = max(worst, np.linalg.norm(hv - ref_h) / np.linalg.norm(ref_h))
-            gv = ck.ggn_vp(net, xs, ts, loss, v)
-            ref_g = dec.gauss_newton @ v
-            worst = max(worst, np.linalg.norm(gv - ref_g) / np.linalg.norm(ref_g))
-    passed = worst <= 1e-4
-    report(4, "matrix-free products vs dense", passed, f"worst rel {worst:.2e} over 5 nets x 50 directions (tol 1e-4)")
+        rows += oracle_rows(net, xs, ts, gen, "hvp-vs-dense", "ggn-vs-dense")
+    passed = all(r["passed"] for r in rows)
+    value, tol = worst(rows)
+    report(4, "matrix-free products vs dense", passed,
+           f"worst rel {value} over 5 nets x 50 directions (tol {tol})")
     assert passed
 
 

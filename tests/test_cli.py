@@ -5,12 +5,28 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import curvkit
 from cli_env import child_env
-from curvkit import Architecture, ConfigError, DirectionError, RngStream, init_network, save_network
+from curvkit import (
+    Architecture,
+    ConfigError,
+    DirectionError,
+    RngStream,
+    decompose,
+    gradient_curvatures,
+    half_squared_error,
+    init_network,
+    loss_and_gradient,
+    raw_output,
+    save_network,
+    squared_error,
+)
 from curvkit import cli
 from curvkit.cli import THEORY_SUBCOMMANDS, default_config, load_config
+from curvkit.rng import AUX_STREAM
 from curvkit.tables import read_csv
 
 
@@ -130,6 +146,34 @@ class TestCheck:
         result = run_cli("check", "--config", cfg, "--out", str(tmp_path / "out"), cwd=tmp_path)
         assert result.returncode == 2
         assert "unsupported activation" in result.stderr
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 8), min_size=2, max_size=5),
+        n_samples=st.integers(1, 6),
+        loss=st.sampled_from([squared_error(), half_squared_error(), raw_output()]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_row_passes_on_random_identity_nets(self, widths, n_samples, loss, seed):
+        # Depth 2-5: check refuses a one-layer net.
+        net = init_network(Architecture((*widths, 1)), "gaussian", RngStream(seed, 0))
+        gen = RngStream(seed, AUX_STREAM).generator()
+        xs = gen.standard_normal((n_samples, widths[0]))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
+        # Width-1 unit inputs are +-1, so under raw_output the loss Hessian is
+        # (mean sign) H(1): exactly 0 when the signs cancel, where no relative
+        # error is defined.
+        assume(not (loss == raw_output() and widths[0] == 1 and xs.sum() == 0.0))
+        rows = cli.run_checks(net, xs, ts, loss, gen)
+        assert [r["name"] for r in rows if not r["passed"]] == []
+        # The curvature probe along the loss gradient against the dense split.
+        dec = decompose(net, xs, ts, loss)
+        g = loss_and_gradient(net, xs, ts, loss)[1]
+        u = g / np.linalg.norm(g)
+        hess_proj, gn_proj, _ = gradient_curvatures(net, xs, ts, loss, g)
+        for probe, part in ((hess_proj, dec.hessian), (gn_proj, dec.gauss_newton)):
+            assert abs(probe - u @ part @ u) <= 1e-10 * np.linalg.norm(part)
 
 
 class TestTheory:
@@ -271,6 +315,11 @@ class TestTrain:
         assert "not finite" in result.stderr
         assert "Traceback" not in result.stderr
         assert (out / "runlog.csv").exists()  # partial log flushed
+        # The abort keeps the results known before the first step.
+        manifest = strict_json(out / "manifest.json")
+        assert sorted(manifest) == ["aborted", "blas_threads", "command", "config", "schema_version",
+                                    "step_lane", "timing_s", "toolkit_version"]
+        assert manifest["step_lane"] == "inline"
 
     def test_non_finite_initial_loss_without_steps_exit_code(self, tmp_path):
         cfg = write_config(tmp_path / "c.ini", HUGE_GAIN)

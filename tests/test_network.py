@@ -259,8 +259,7 @@ class TestJacobian:
         trace = forward(net, [1.0])
         with pytest.raises(IndexError):
             interlayer_jacobian(net, trace, 2, 1)
-        with pytest.raises(IndexError):
-            interlayer_jacobian(net, trace, 1, 1)
+        assert np.array_equal(interlayer_jacobian(net, trace, 1, 1), np.eye(1))
 
     def test_rejects_batch_trace(self):
         # Batch masks would broadcast against the weights instead of masking them.

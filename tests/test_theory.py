@@ -54,33 +54,22 @@ def _per_trial_routes(cfg, target_magnitude):
     (g.g, case formula, R-op quadform, positivity, R-op cross value, closed-form
     cross value).  The closed form is built from the Jacobian table and runs
     no Taylor kernel."""
-    pair = None
-    if cfg.input_mode == "fixed":
-        aux = RngStream(cfg.master_seed, AUX_STREAM).generator()
-        pair = (_unit_vector(aux, cfg.widths[0]), _unit_vector(aux, cfg.widths[0]))
+    aux = RngStream(cfg.master_seed, AUX_STREAM).generator()
+    u, v = _unit_vector(aux, cfg.widths[0]), _unit_vector(aux, cfg.widths[0])
     rows = []
     for i in range(cfg.n_trials):
         gen = RngStream(cfg.master_seed, i).generator()
         net = init_network(cfg.architecture, cfg.distribution, gen)
-        x = pair[0] if pair is not None else _unit_vector(gen, cfg.widths[0])
         sign = float(gen.integers(0, 2)) * 2.0 - 1.0
-        g = output_gradient(net, x)
+        g = output_gradient(net, u)
         g_sq = float(g @ g)
-        quad = float(g @ output_hessian_vp(net, x, g))
-        y = forward(net, x).output
+        quad = float(g @ output_hessian_vp(net, u, g))
+        y = forward(net, u).output
         loss = squared_error(target_magnitude * sign)
         positivity = loss.d2(y) * g_sq + loss.d1(y) * quad / g_sq
-
-        gen = RngStream(cfg.master_seed, i).generator()
-        net = init_network(cfg.architecture, cfg.distribution, gen)
-        if pair is None:
-            u, v = _unit_vector(gen, cfg.widths[0]), _unit_vector(gen, cfg.widths[0])
-        else:
-            u, v = pair
-        g_u = output_gradient(net, u)
-        cross = float(g_u @ output_hessian_vp(net, v, g_u))
-        dense_cross = float(g_u @ output_hessian(net, v) @ g_u)
-        rows.append((g_sq, float(g @ output_hessian_grad_product(net, x)), quad, positivity, cross,
+        cross = float(g @ output_hessian_vp(net, v, g))
+        dense_cross = float(g @ output_hessian(net, v) @ g)
+        rows.append((g_sq, float(g @ output_hessian_grad_product(net, u)), quad, positivity, cross,
                      dense_cross))
     return np.array(rows)
 
@@ -89,11 +78,9 @@ class TestBatchedColumnsOracle:
     """The trial-batched Taylor columns against the per-trial routes they replace."""
 
     @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
-    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
-    def test_columns_match_per_trial_routes(self, widths, input_mode, distribution):
-        cfg = McConfig(widths=widths, distribution=distribution, input_mode=input_mode,
-                       n_trials=12, master_seed=20)
+    def test_columns_match_per_trial_routes(self, widths, distribution):
+        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12, master_seed=20)
         ref = _per_trial_routes(cfg, 0.7)
         g_sq, quad = grad_norm_samples(cfg), quadform_samples(cfg)
         positivity, cross = positivity_samples(cfg, 0.7), cross_sample_samples(cfg)
@@ -118,15 +105,13 @@ class TestBatchedColumnsOracle:
 def _per_trial_network_table(cfg, cross):
     """The engine's table from networks drawn one per trial by init_network,
     stacked and passed to _taylor_columns in one block."""
-    fixed = _fixed_inputs(cfg, 2 if cross else 1)
-    nets, inputs, signs = [], [], []
+    nets, signs = [], []
     for i in range(cfg.n_trials):
         gen = RngStream(cfg.master_seed, i).generator()
         nets.append(init_network(cfg.architecture, cfg.distribution, gen))
-        inputs.append(fixed or [_unit_vector(gen, cfg.widths[0]) for _ in range(2 if cross else 1)])
         signs.append(0.0 if cross else float(gen.integers(0, 2)) * 2.0 - 1.0)
     ws = [np.stack([net.weights[k] for net in nets]) for k in range(cfg.architecture.depth)]
-    xs = [np.stack([pair[m] for pair in inputs])[:, None, :] for m in range(len(inputs[0]))]
+    xs = [np.tile(vec, (cfg.n_trials, 1, 1)) for vec in _fixed_inputs(cfg, 2 if cross else 1)]
     return np.column_stack([*_taylor_columns(ws, *xs), signs])
 
 
@@ -134,12 +119,10 @@ class TestStackDraws:
     """Weights drawn straight into the block stacks equal the per-trial networks."""
 
     @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
-    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
     @pytest.mark.parametrize("cross", [False, True])
-    def test_chunk_matches_per_trial_networks(self, widths, input_mode, distribution, cross):
-        cfg = McConfig(widths=widths, distribution=distribution, input_mode=input_mode,
-                       n_trials=12, master_seed=23)
+    def test_chunk_matches_per_trial_networks(self, widths, distribution, cross):
+        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12, master_seed=23)
         assert _trials_per_block(cfg.architecture) >= cfg.n_trials  # one block, as the reference
         chunk = _mc_chunk(cfg, _fixed_inputs(cfg, 2 if cross else 1), cross, 0, cfg.n_trials)
         assert np.array_equal(chunk, _per_trial_network_table(cfg, cross))
@@ -200,10 +183,9 @@ class TestQuadform:
         cfg = McConfig(widths=(6, 6, 1), n_trials=150, master_seed=4)
         assert np.array_equal(quadform_samples(cfg, n_workers=1), quadform_samples(cfg, n_workers=2))
 
-    @pytest.mark.parametrize("input_mode", ["fixed", "fresh"])
     @pytest.mark.parametrize("cross", [False, True])
-    def test_chunk_independent_of_ranges_and_blocks(self, input_mode, cross):
-        cfg = McConfig(widths=(64, 64, 64, 64, 1), input_mode=input_mode, n_trials=25, master_seed=21)
+    def test_chunk_independent_of_ranges_and_blocks(self, cross):
+        cfg = McConfig(widths=(64, 64, 64, 64, 1), n_trials=25, master_seed=21)
         split = 13
         assert _trials_per_block(cfg.architecture) < split  # both ranges span several blocks
         fixed = _fixed_inputs(cfg, 2 if cross else 1)
@@ -239,11 +221,6 @@ class TestQuadform:
         together[1][:] = 0.0  # callers get copies, not the shared table
         assert np.array_equal(quadform_samples(cfg), alone[1])
         assert len(draws) == cfg.n_trials * cfg.architecture.depth
-
-    def test_fresh_inputs_change_samples(self):
-        fixed = McConfig(widths=(6, 6, 1), n_trials=32, master_seed=5, input_mode="fixed")
-        fresh = McConfig(widths=(6, 6, 1), n_trials=32, master_seed=5, input_mode="fresh")
-        assert not np.array_equal(quadform_samples(fixed), quadform_samples(fresh))
 
 
 class TestGradNorm:
@@ -362,7 +339,7 @@ class TestCrossSample:
         assert np.allclose(same, case, rtol=1e-12, atol=1e-14)
 
     def test_zero_mean(self):
-        cfg = McConfig(widths=(8, 8, 8, 1), input_mode="fresh", n_trials=2000, master_seed=12)
+        cfg = McConfig(widths=(8, 8, 8, 1), n_trials=2000, master_seed=12)
         s = mc_cross_sample_stats(cfg)
         assert abs(s.mean) <= 4.0 * s.stderr
 
@@ -430,8 +407,6 @@ class TestMcConfig:
     def test_validation(self):
         with pytest.raises(DimensionError):
             McConfig(widths=(4, 4, 1), n_trials=1)
-        with pytest.raises(DimensionError):
-            McConfig(widths=(4, 4, 1), n_trials=10, input_mode="sometimes")
 
     def test_unknown_distribution_refused_at_construction(self):
         with pytest.raises(DimensionError, match="cauchy"):
