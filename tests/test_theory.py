@@ -78,9 +78,11 @@ class TestBatchedColumnsOracle:
     """The trial-batched Taylor columns against the per-trial routes they replace."""
 
     @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
+    @pytest.mark.parametrize("master_seed", [20, 24])  # each seed its own fixed input pair
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
-    def test_columns_match_per_trial_routes(self, widths, distribution):
-        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12, master_seed=20)
+    def test_columns_match_per_trial_routes(self, widths, master_seed, distribution):
+        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12,
+                       master_seed=master_seed)
         ref = _per_trial_routes(cfg, 0.7)
         g_sq, quad = grad_norm_samples(cfg), quadform_samples(cfg)
         positivity, cross = positivity_samples(cfg, 0.7), cross_sample_samples(cfg)
@@ -119,10 +121,12 @@ class TestStackDraws:
     """Weights drawn straight into the block stacks equal the per-trial networks."""
 
     @pytest.mark.parametrize("widths", [(5, 1), (6, 6, 1), (8, 3, 12, 5, 1), (16, 16, 16, 16, 1)])
+    @pytest.mark.parametrize("master_seed", [23, 26])  # each seed its own fixed input pair
     @pytest.mark.parametrize("distribution", ["gaussian", "uniform", "rademacher"])
     @pytest.mark.parametrize("cross", [False, True])
-    def test_chunk_matches_per_trial_networks(self, widths, distribution, cross):
-        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12, master_seed=23)
+    def test_chunk_matches_per_trial_networks(self, widths, master_seed, distribution, cross):
+        cfg = McConfig(widths=widths, distribution=distribution, n_trials=12,
+                       master_seed=master_seed)
         assert _trials_per_block(cfg.architecture) >= cfg.n_trials  # one block, as the reference
         chunk = _mc_chunk(cfg, _fixed_inputs(cfg, 2 if cross else 1), cross, 0, cfg.n_trials)
         assert np.array_equal(chunk, _per_trial_network_table(cfg, cross))
@@ -183,9 +187,10 @@ class TestQuadform:
         cfg = McConfig(widths=(6, 6, 1), n_trials=150, master_seed=4)
         assert np.array_equal(quadform_samples(cfg, n_workers=1), quadform_samples(cfg, n_workers=2))
 
+    @pytest.mark.parametrize("master_seed", [21, 27])
     @pytest.mark.parametrize("cross", [False, True])
-    def test_chunk_independent_of_ranges_and_blocks(self, cross):
-        cfg = McConfig(widths=(64, 64, 64, 64, 1), n_trials=25, master_seed=21)
+    def test_chunk_independent_of_ranges_and_blocks(self, master_seed, cross):
+        cfg = McConfig(widths=(64, 64, 64, 64, 1), n_trials=25, master_seed=master_seed)
         split = 13
         assert _trials_per_block(cfg.architecture) < split  # both ranges span several blocks
         fixed = _fixed_inputs(cfg, 2 if cross else 1)
