@@ -12,9 +12,9 @@ invalid config, an unusable output directory, or inputs the command refuses)
 exits 2 and writes no manifest.  Past configuration, main times the command
 and writes the one manifest.json, an aborted run included: the merged config,
 the timing and the results the command had recorded (train records its step
-lane and BLAS threads before its first step).  A divergence or a zero
-gradient aborts with exit 3 and adds its cause under "aborted"; only train
-flushes the partial runlog.csv it reached.
+lane and BLAS threads before its first step).  A divergence, a zero gradient
+or an interrupt (SIGINT or SIGTERM) aborts with exit 3 and adds its cause
+under "aborted"; train writes the runlog.csv rows it recorded however it stops.
 
 Exit codes: 0 success, 1 check or statistical failure, 2 configuration
 error, 3 runtime abort.
@@ -27,6 +27,7 @@ import copy
 import json
 import math
 import operator
+import signal
 import sys
 import time
 from dataclasses import replace
@@ -49,6 +50,7 @@ from .diff import (
 )
 from .errors import ConfigError, CurvkitError, DimensionError, DirectionError, DivergenceError
 from .experiment import (
+    RunLog,
     TrainConfig,
     generate_dataset,
     save_dataset,
@@ -66,7 +68,7 @@ from .network import (
 )
 from .parallel import blas_threads, open_lane
 from .rng import AUX_STREAM, DISTRIBUTION_KINDS, RngStream
-from .tables import write_csv
+from .tables import open_output, write_csv
 from .theory import (
     CurvatureBoundParams,
     McConfig,
@@ -228,12 +230,13 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict, started
         "timing_s": round(time.perf_counter() - started, 3),
     }
     manifest.update(extra)
-    (out_dir / "manifest.json").write_text(_strict_json(manifest, sort_keys=True))
+    _write_json(out_dir / "manifest.json", manifest, sort_keys=True)
 
 
-def _strict_json(obj, sort_keys: bool = False) -> str:
+def _write_json(path: Path, obj, sort_keys: bool = False) -> None:
     """Indented JSON that any strict parser reads: a non-finite float is null."""
-    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=sort_keys, allow_nan=False) + "\n"
+    with open_output(path) as fh:
+        fh.write(json.dumps(_finite_or_null(obj), indent=2, sort_keys=sort_keys, allow_nan=False) + "\n")
 
 
 def _finite_or_null(obj):
@@ -370,7 +373,7 @@ def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: value={c['value']:.3e} tol={c['tolerance']:.3e}")
     failures = [c for c in checks if not c["passed"]]
-    (out_dir / "check_report.json").write_text(_strict_json(checks))
+    _write_json(out_dir / "check_report.json", checks)
     if failures:
         print(f"FAILED: first failing check is {failures[0]['name']}", file=sys.stderr)
     else:
@@ -583,15 +586,18 @@ def _train_config(cfg: dict) -> TrainConfig:
 def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
     tc = _train_config(cfg)
     widths = tc.architecture.widths
+    log = RunLog()
     with open_lane(max(a * b for a, b in zip(widths, widths[1:]))) as lane:
         results["step_lane"] = "thread" if lane.threaded else "inline"
         results["blas_threads"] = blas_threads()
-        dataset = generate_dataset(cfg["data"]["n_samples"], widths[0], tc.data_seed)
-        save_dataset(dataset, out_dir / "dataset.csv", lane)
-        net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
-                           rectifier_gain=tc.effective_init_gain)
-        log = sgd_train(net, dataset, tc, lane)
-        log.to_csv(out_dir / "runlog.csv")
+        try:
+            dataset = generate_dataset(cfg["data"]["n_samples"], widths[0], tc.data_seed)
+            save_dataset(dataset, out_dir / "dataset.csv", lane)
+            net = init_network(tc.architecture, tc.distribution, RngStream(tc.init_seed, 0),
+                               rectifier_gain=tc.effective_init_gain)
+            sgd_train(net, dataset, tc, lane, log)
+        finally:
+            log.to_csv(out_dir / "runlog.csv")  # the rows recorded, however the run stops
         save_network(net, out_dir / "network_final.txt", lane)
     print(f"final loss {log.final_loss:.6f}, positivity {log.positivity_fraction():.3f}")
     results.update(
@@ -612,7 +618,6 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict)
     results.update(
         verdict=report.verdict,
         mean_init_H_proj_abs={str(w): means[w] for w in report.widths},
-        dataset_seeds={str(w): s for w, s in report.dataset_seeds.items()},
     )
     return 1 if report.verdict == "not-decreasing" else 0
 
@@ -653,6 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
 COMMANDS = {"check": cmd_check, "theory": cmd_theory, "train": cmd_train, "sweep": cmd_sweep}
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(f"interrupted ({signal.Signals(signum).name})")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = f"theory {args.subcommand}" if args.command == "theory" else args.command
@@ -669,14 +678,15 @@ def main(argv=None) -> int:
         out_dir = _prepare_out(cfg, args.out)
         started = time.perf_counter()
         results: dict = {}
+        previous = signal.signal(signal.SIGTERM, _interrupt)
         try:
             code = COMMANDS[args.command](args, cfg, out_dir, results)
-        except (DivergenceError, DirectionError) as exc:
-            partial_log = getattr(exc, "partial_log", None)
-            if partial_log is not None:
-                partial_log.to_csv(out_dir / "runlog.csv")
-            print(f"aborted: {exc}", file=sys.stderr)
-            code, results["aborted"] = 3, str(exc)
+        except (DivergenceError, DirectionError, KeyboardInterrupt) as exc:
+            cause = str(exc) or "interrupted (SIGINT)"  # Python's own SIGINT handler gives no message
+            print(f"aborted: {cause}", file=sys.stderr)
+            code, results["aborted"] = 3, cause
+        finally:
+            signal.signal(signal.SIGTERM, previous)
         _write_manifest(out_dir, command, cfg, results, started)
         return code
     except ConfigError as exc:

@@ -8,7 +8,7 @@ estimator all refer to the same batch-mean loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ class HessianDecomposition:
     gauss_newton: np.ndarray
     functional: np.ndarray
     hessian: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -87,8 +86,7 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     for s in range(n):
         functional += slopes[s] * output_hessian(net, x[s])
     functional /= n
-    meta = {"n_samples": n, "activation": net.arch.activation}
-    return HessianDecomposition(gauss_newton, functional, gauss_newton + functional, meta)
+    return HessianDecomposition(gauss_newton, functional, gauss_newton + functional)
 
 
 def curvature_projection(operator, g: np.ndarray) -> float:

@@ -28,10 +28,6 @@ class DirectionError(CurvkitError, ValueError):
 class DivergenceError(CurvkitError, RuntimeError):
     """Training loss blew past the divergence guard."""
 
-    def __init__(self, message: str, partial_log=None):
-        super().__init__(message)
-        self.partial_log = partial_log
-
 
 class ConfigError(CurvkitError, ValueError):
     """Invalid, inconsistent, or unknown configuration content."""

@@ -164,8 +164,8 @@ def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass
 class RunLog:
-    records: list[CurvatureRecord]
-    epoch_losses: list[float]
+    records: list[CurvatureRecord] = field(default_factory=list)
+    epoch_losses: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
 
     @property
@@ -209,16 +209,18 @@ def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> Curvature
 
 # The finiteness guards decide; numpy's overflow warnings would bury their message.
 @np.errstate(over="ignore", invalid="ignore")
-def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INLINE) -> RunLog:
+def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INLINE,
+              log: RunLog | None = None) -> RunLog:
     """Train net in place with vanilla SGD, recording curvature per step.
 
     Minibatches are sequential slices of a fresh per-epoch shuffle derived
     from the data seed.  The estimator compares the batch loss before and
     after the step on the same minibatch, which is the quantity the one-step
     expansion describes; at probe steps the exact projections are measured
-    at the pre-step weights.  Aborts with the partial log attached if the
-    loss exceeds divergence_ratio times its initial value or is not finite;
-    with epochs = 0, a non-finite initial loss aborts with no log.
+    at the pre-step weights.  Raises DivergenceError if the loss exceeds
+    divergence_ratio times its initial value or is not finite.  Appends each
+    record and finished epoch's mean loss to log (new if None) and returns
+    it, so a log the caller passes keeps what was recorded before any raise.
 
     lane runs the weight-gradient products, the update of alternate layers
     and each step's post-step loss pass, which overlaps the next step's
@@ -234,8 +236,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
     bs = cfg.batch_size
     steps_per_epoch = -(-n // bs)
     probe_every = cfg.probe_every if cfg.probe_every > 0 else steps_per_epoch
-    records: list[CurvatureRecord] = []
-    epoch_losses: list[float] = []
+    log = RunLog() if log is None else log
     step_losses: list[float] = []
     initial_loss: float | None = None
     pending = None  # the last step taken, recorded once its post-step loss is in
@@ -243,7 +244,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
     def record(step, epoch, lr, loss_before, g_sq, curvatures, post_step, ends_epoch) -> None:
         loss_after = post_step.result()
         hess, gn, fun, exact_half = curvatures
-        records.append(
+        log.records.append(
             CurvatureRecord(
                 step=step,
                 epoch=epoch,
@@ -264,14 +265,11 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
         step_losses.append(loss_before)
         # Written so that a NaN loss, which fails every comparison, aborts too.
         if not loss_after <= cfg.divergence_ratio * max(initial_loss, 1e-300):
-            partial = RunLog(records, epoch_losses + [float(np.mean(step_losses))],
-                             time.perf_counter() - start_time)
             cause = (f"exceeded {cfg.divergence_ratio:.1e} x initial {initial_loss:.3e}"
                      if np.isfinite(loss_after) else "is not finite")
-            raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step}",
-                                  partial_log=partial)
+            raise DivergenceError(f"loss {loss_after:.3e} {cause} at step {step}")
         if ends_epoch:
-            epoch_losses.append(float(np.mean(step_losses)))
+            log.epoch_losses.append(float(np.mean(step_losses)))
             step_losses.clear()
 
     step = 0
@@ -306,8 +304,9 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
         loss = batch_loss(net, dataset.inputs, dataset.targets, cfg.loss)
         if not np.isfinite(loss):
             raise DivergenceError(f"initial loss {loss:.3e} is not finite")
-        epoch_losses.append(loss)
-    return RunLog(records, epoch_losses, time.perf_counter() - start_time)
+        log.epoch_losses.append(loss)
+    log.wall_time_s = time.perf_counter() - start_time
+    return log
 
 
 def _descend(layers, lr: float, lane: Lane) -> None:
@@ -345,7 +344,6 @@ class SweepReport:
     cells: list[SweepCell]
     widths: tuple[int, ...]
     n_seeds: int
-    dataset_seeds: dict[int, int]
     verdict: str | None
 
     def mean_init_functional_abs(self) -> dict[int, float]:
@@ -390,11 +388,7 @@ def _sweep_cell(base: TrainConfig, n_samples: int, width: int, seed_index: int) 
 
 
 def _sweep_cell_range(base: TrainConfig, n_samples: int, widths, n_seeds, order, start, stop):
-    """The cells order[start:stop]; flat cell f is (widths[f // n_seeds], f % n_seeds).
-
-    A failing cell's error names the cell and carries no partial log: a
-    sweep writes no run log.
-    """
+    """The cells order[start:stop]; flat cell f is (widths[f // n_seeds], f % n_seeds)."""
     cells = []
     for flat in order[start:stop]:
         width, seed_index = widths[flat // n_seeds], flat % n_seeds
@@ -438,7 +432,6 @@ def width_sweep(
         cells=cells,
         widths=widths,
         n_seeds=n_seeds,
-        dataset_seeds={w: base.data_seed for w in widths},
         verdict=None,
     )
     if len(widths) >= 2:

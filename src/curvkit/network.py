@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ActivationError, DimensionError
 from .parallel import INLINE, Lane
 from .rng import GAUSSIAN, InitDistribution, RngStream, as_generator
+from .tables import open_output
 
 IDENTITY = "identity"
 RELU = "relu"
@@ -304,7 +305,7 @@ def save_network(net: Network, path, lane: Lane = INLINE) -> None:
     from .floattext import g17  # here, so that commands which write no arrays never compile it
 
     widths = " ".join(str(w) for w in net.arch.widths)
-    with open(path, "w", encoding="ascii") as fh:
+    with open_output(path) as fh:
         fh.write(f"curvkit-network v1\nactivation {net.arch.activation}\nwidths {widths}\n")
         for l, w in enumerate(net.weights, start=1):
             rows, cols = w.shape

@@ -3,6 +3,7 @@ processes, and single numpy calls onto one helper thread (a lane)."""
 from __future__ import annotations
 
 import os
+import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -33,7 +34,15 @@ def _open_pool(n_workers: int):
     a command that opens no pool never pays for the import."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=n_workers)
+    return ProcessPoolExecutor(max_workers=n_workers, initializer=_leave_stops_to_parent)
+
+
+def _leave_stops_to_parent() -> None:
+    """In a worker: ignore Ctrl-C, which reaches the whole process group, so
+    that only the parent reports a stop; die on SIGTERM, whatever handler
+    fork copied, so that the pool can terminate the worker."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
@@ -47,6 +56,10 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
     pool never has more workers than ranges.  One worker, or one item (the
     only count that makes a single range), runs in this process: a pool of
     one would only fork and pickle.
+
+    A range goes out only to a free worker, and none after a range fails:
+    the pool counts a queued range as running, past cancel_futures' reach,
+    so a failure or Ctrl-C here waits only for the ranges running.
     """
     if n_items <= 0:
         return np.empty((0,))
@@ -55,8 +68,22 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
         return np.asarray(fn(0, n_items))
     chunk = -(-n_items // (4 * n_workers))
     ranges = [(fn, s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
-    with _open_pool(min(n_workers, len(ranges))) as pool:
-        parts = list(pool.map(_call_range, ranges))
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    n_workers = min(n_workers, len(ranges))
+    pool = _open_pool(n_workers)
+    try:
+        futures, running = [], set()
+        for task in ranges:
+            if len(running) == n_workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() for f in done):
+                    break
+            futures.append(pool.submit(_call_range, task))
+            running.add(futures[-1])
+        parts = [f.result() for f in futures]  # the first failed range in order raises
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return np.concatenate([np.asarray(p) for p in parts])
 
 

@@ -1,5 +1,12 @@
-"""Versioned CSV output: comma separated, header row, '.' decimal point."""
+"""Versioned CSV output: comma separated, header row, '.' decimal point.
+
+Every output file is written through open_output, so a file under its
+final name is complete.
+"""
 from __future__ import annotations
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +25,20 @@ def format_cell(value) -> str:
     return str(value)
 
 
+@contextmanager
+def open_output(path):
+    """Open path for writing ASCII text through <path>.tmp, which replaces
+    path once the block ends and is deleted if it raises."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv(path, schema: str, header: list[str], rows, lane: Lane = INLINE) -> None:
     """Write a header and rows; a 2-D float64 array is written in row blocks.
 
@@ -25,7 +46,7 @@ def write_csv(path, schema: str, header: list[str], rows, lane: Lane = INLINE) -
     is format_cell's text of a float, so both paths write the same bytes.
     It formats alternate blocks on lane.
     """
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(f"# schema={schema}\n" + ",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64:
             from .floattext import short  # as in network.save_network

@@ -1,6 +1,8 @@
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -376,16 +378,6 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["verdict"] is None
 
-    def test_manifest_contains_dataset_seeds(self, tmp_path):
-        cfg = write_config(tmp_path / "c.ini", SWEEP.format(widths="6 12 18"))
-        out = tmp_path / "out"
-        result = run_cli("sweep", "--config", cfg, "--out", str(out), cwd=tmp_path)
-        assert result.returncode in (0, 1), result.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert set(manifest["dataset_seeds"]) == {"6", "12", "18"}
-        _, _, rows = read_csv(out / "sweep.csv")
-        assert len(rows) == 6
-
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_non_finite_initial_cell_exit_code(self, tmp_path, threads):
         cfg = write_config(tmp_path / "c.ini", HUGE_GAIN)
@@ -751,3 +743,68 @@ class TestLifecycle:
         assert manifest["aborted"] == "zero-norm direction"
         assert "timing_s" in manifest
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
+class TestStops:
+    """An interrupt is a runtime abort: exit 3, its cause in the manifest,
+    and train's runlog.csv holds the steps recorded before it."""
+
+    def test_interrupted_train_keeps_the_steps_it_recorded(self, tmp_path, monkeypatch, capsys):
+        # Three steps per epoch, each epoch's first step probed: the third
+        # probe is the first step of epoch 3, after every step of epochs 1-2
+        # is recorded.
+        cfg = write_config(tmp_path / "c.ini", TRAIN.format(lr="0.05").replace("epochs = 2", "epochs = 4"))
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+        capsys.readouterr()
+        probes = []
+        real_probe = curvkit.experiment.gradient_curvatures
+
+        def probe_then_ctrl_c(*args):
+            probes.append(args)
+            if len(probes) == 3:
+                raise KeyboardInterrupt  # as Python's own SIGINT handler raises it
+            return real_probe(*args)
+
+        monkeypatch.setattr(curvkit.experiment, "gradient_curvatures", probe_then_ctrl_c)
+        handler = signal.getsignal(signal.SIGTERM)
+        out = tmp_path / "out"
+        try:
+            code = cli.main(["train", "--config", cfg, "--out", str(out)])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped cli.main")
+        assert code == 3
+        assert capsys.readouterr().err == "aborted: interrupted (SIGINT)\n"
+        assert signal.getsignal(signal.SIGTERM) == handler
+        full = (tmp_path / "full" / "runlog.csv").read_bytes().splitlines(keepends=True)
+        assert (out / "runlog.csv").read_bytes() == b"".join(full[: 2 + 6])
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["aborted"] == "interrupted (SIGINT)"
+        assert manifest["step_lane"] == "inline" and "blas_threads" in manifest
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "manifest.json", "runlog.csv"]
+
+    def test_sigterm_to_a_long_train(self, tmp_path):
+        text = TRAIN.format(lr="0.05").replace("epochs = 2", "epochs = 1000000")
+        cfg = write_config(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "curvkit", "train", "--config", cfg, "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=child_env(),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (out / "dataset.csv").exists() and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert (out / "dataset.csv").exists()
+            time.sleep(0.2)  # some steps in
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 3, err
+        assert err == "aborted: interrupted (SIGTERM)\n"
+        assert strict_json(out / "manifest.json")["aborted"] == "interrupted (SIGTERM)"
+        # No network_final.txt and no .tmp file: a stop leaves no incomplete file.
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "manifest.json", "runlog.csv"]
+        _, _, rows = read_csv(out / "runlog.csv")
+        assert [int(r[0]) for r in rows] == list(range(len(rows)))

@@ -14,6 +14,7 @@ from curvkit import (
     DimensionError,
     DivergenceError,
     RngStream,
+    RunLog,
     TrainConfig,
     generate_dataset,
     half_squared_error,
@@ -44,13 +45,13 @@ def small_config(**over):
     return TrainConfig(**kw)
 
 
-def fresh_run(cfg, n_samples=24):
+def fresh_run(cfg, n_samples=24, log=None):
     dataset = generate_dataset(n_samples, cfg.architecture.widths[0], cfg.data_seed)
     net = init_network(
         cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
         rectifier_gain=cfg.effective_init_gain,
     )
-    return net, dataset, sgd_train(net, dataset, cfg)
+    return net, dataset, sgd_train(net, dataset, cfg, log=log)
 
 
 class TestDataset:
@@ -178,18 +179,19 @@ class TestSgdTrain:
 
     def test_divergence_guard(self):
         cfg = small_config(learning_rate=1e4, epochs=4, divergence_ratio=10.0)
-        with pytest.raises(DivergenceError) as err:
-            fresh_run(cfg)
-        assert err.value.partial_log is not None
-        assert err.value.partial_log.records
+        log = RunLog()
+        with pytest.raises(DivergenceError):
+            fresh_run(cfg, log=log)
+        assert log.records
 
     def test_non_finite_loss_aborts(self):
         # lr = 1e150 overflows the first step to a NaN loss, which compares
         # false against any divergence threshold.
         cfg = small_config(learning_rate=1e150)
-        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite") as err:
-            fresh_run(cfg)
-        assert err.value.partial_log.records
+        log = RunLog()
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="not finite"):
+            fresh_run(cfg, log=log)
+        assert log.records
 
     def test_non_finite_initial_loss_without_steps_aborts(self):
         cfg = small_config(epochs=0, init_gain=1e200)
@@ -254,11 +256,6 @@ class TestWidthSweep:
             assert np.isfinite(cell.init_functional_abs)
             assert cell.positivity_fraction in (0.0, 1.0)
 
-    def test_datasets_redrawn_per_width(self):
-        base = small_config(epochs=0)
-        report = width_sweep(base, (6, 12), 1, n_samples=30)
-        assert report.dataset_seeds == {6: base.data_seed, 12: base.data_seed}
-
     def test_trained_cells_record_final_loss(self):
         base = small_config(epochs=2)
         report = width_sweep(base, (6, 8), 1, n_samples=24)
@@ -301,19 +298,21 @@ class TestWidthSweep:
 
 
 def lane_run(cfg, lane, n_samples=24):
-    """fresh_run on a lane, warnings as errors: (the log or the divergence
-    error, the net, the dataset)."""
+    """fresh_run on a lane, warnings as errors, into a log of its own: (the
+    log, the divergence error or None, the net, the dataset)."""
     dataset = generate_dataset(n_samples, cfg.architecture.widths[0], cfg.data_seed)
     net = init_network(
         cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
         rectifier_gain=cfg.effective_init_gain,
     )
+    log = RunLog()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return sgd_train(net, dataset, cfg, lane), net, dataset
+            assert sgd_train(net, dataset, cfg, lane, log) is log
+            return log, None, net, dataset
         except DivergenceError as exc:
-            return exc, net, dataset
+            return log, exc, net, dataset
 
 
 def rows(records):
@@ -337,7 +336,7 @@ class TestThreadLane:
         sys.setswitchinterval(1e-6)  # threads hand over often: a missed wait shows
         try:
             for name, lane in (("inline", curvkit.parallel.INLINE), ("thread", thread_lane)):
-                log, net, dataset = lane_run(cfg, lane)
+                log, _, net, dataset = lane_run(cfg, lane)
                 save_network(net, tmp_path / f"{name}.txt", lane)
                 save_dataset(dataset, tmp_path / f"{name}.csv", lane)
                 runs[name] = log, net
@@ -358,14 +357,14 @@ class TestThreadLane:
     ])
     def test_same_divergence(self, thread_lane, lr, step):
         cfg = small_config(learning_rate=lr, epochs=4, divergence_ratio=1e6)
-        errors = [lane_run(cfg, lane)[0] for lane in (curvkit.parallel.INLINE, thread_lane)]
-        assert all(isinstance(e, DivergenceError) for e in errors)
-        inline, thread = errors
+        (log_i, inline), (log_t, thread) = [lane_run(cfg, lane)[:2]
+                                            for lane in (curvkit.parallel.INLINE, thread_lane)]
+        assert isinstance(inline, DivergenceError) and isinstance(thread, DivergenceError)
         assert str(thread) == str(inline) and str(inline).endswith(f"at step {step}")
-        assert rows(thread.partial_log.records) == rows(inline.partial_log.records)
-        assert len(inline.partial_log.records) == step + 1
-        assert thread.partial_log.epoch_losses == inline.partial_log.epoch_losses
-        assert len(inline.partial_log.epoch_losses) == 1
+        assert rows(log_t.records) == rows(log_i.records)
+        assert len(log_i.records) == step + 1
+        # An epoch loss is logged once the last step passes the guard: none here.
+        assert log_t.epoch_losses == log_i.epoch_losses == []
 
     def test_lane_task_exception_propagates(self, monkeypatch):
         def failing_loss(*args):

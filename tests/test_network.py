@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import curvkit.floattext
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -367,6 +369,27 @@ class TestSerialization:
         assert path.read_text() == "\n".join(expected) + "\n"
         loaded = load_network(path, strict=False)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(net.weights, loaded.weights))
+
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        real_g17 = curvkit.floattext.g17
+
+        def first_block_then_ctrl_c(*args):
+            yield next(iter(real_g17(*args)))
+            raise KeyboardInterrupt
+
+        path = tmp_path / "network_final.txt"
+        with monkeypatch.context() as patch:
+            patch.setattr(curvkit.floattext, "g17", first_block_then_ctrl_c)
+            with pytest.raises(KeyboardInterrupt):
+                save_network(random_net((3, 4, 1), 24), path)
+        assert list(tmp_path.iterdir()) == []
+        # A complete file already there stays as it was.
+        save_network(random_net((3, 4, 1), 25), path)
+        complete = path.read_bytes()
+        monkeypatch.setattr(curvkit.floattext, "g17", first_block_then_ctrl_c)
+        with pytest.raises(KeyboardInterrupt):
+            save_network(random_net((3, 4, 1), 24), path)
+        assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == complete
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"

@@ -1,8 +1,10 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -21,26 +23,39 @@ def _draw_per_item(start, stop):
     return np.array([np.random.default_rng(i).standard_normal() for i in range(start, stop)])
 
 
+def _worker_signals(start, stop):
+    return np.array([[signal.getsignal(signal.SIGINT) == signal.SIG_IGN,
+                      signal.getsignal(signal.SIGTERM) == signal.SIG_DFL]] * (stop - start))
+
+
 def _inline_pool(monkeypatch):
     """Replace the pool opener with an in-process stand-in that starts no
-    process; returns the list of pools opened, each with its size and tasks."""
+    process; returns the list of pools opened, each with its size, the tasks
+    submitted and the keyword arguments of its shutdown.
+
+    A task runs at submit.  Its Exception is kept in its future, as a worker
+    returns it; anything else, a KeyboardInterrupt say, raises at submit, as
+    a stop that reaches this process does."""
     opened = []
 
     class InlinePool:
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.tasks = []
+            self.shutdown_kwargs = None
             opened.append(self)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, task):
+            self.tasks.append(task)
+            future = Future()
+            try:
+                future.set_result(fn(task))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            self.tasks = list(tasks)
-            return map(fn, self.tasks)
+        def shutdown(self, **kwargs):
+            self.shutdown_kwargs = kwargs
 
     monkeypatch.setattr(curvkit.parallel, "_open_pool", InlinePool)
     return opened
@@ -112,6 +127,53 @@ class TestMapTrialRanges:
         want = map_trial_ranges(_draw_per_item, 100, 1)
         for n_workers in (2, 3, 8, 5000):
             assert np.array_equal(map_trial_ranges(_draw_per_item, 100, n_workers), want)
+
+
+class TestPoolStops:
+    """A stop, or a failed range, hands out no further range and cancels
+    what the pool has not started."""
+
+    def test_interrupt_hands_out_no_further_range(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        opened = _inline_pool(monkeypatch)
+
+        def interrupted_at_250(start, stop):
+            if start == 250:
+                raise KeyboardInterrupt
+            return _range_of_each_item(start, stop)
+
+        with pytest.raises(KeyboardInterrupt):
+            map_trial_ranges(interrupted_at_250, 1000, 2)
+        (pool,) = opened
+        assert [s for _, s, _ in pool.tasks] == [0, 125, 250]
+        assert pool.shutdown_kwargs == {"wait": True, "cancel_futures": True}
+
+    def test_failed_range_hands_out_no_further_range(self, monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        opened = _inline_pool(monkeypatch)
+
+        def fails_from_125(start, stop):
+            if start >= 125:
+                raise ValueError(f"range at {start}")
+            return _range_of_each_item(start, stop)
+
+        # The first failed range in index order is the one reported.
+        with pytest.raises(ValueError, match="range at 125"):
+            map_trial_ranges(fails_from_125, 1000, 2)
+        (pool,) = opened
+        assert [s for _, s, _ in pool.tasks] == [0, 125]
+        assert pool.shutdown_kwargs == {"wait": True, "cancel_futures": True}
+
+    def test_workers_leave_stops_to_the_parent(self, monkeypatch):
+        # Two workers, forked while a Python SIGTERM handler (as cli.main
+        # installs) is in place: each ignores SIGINT and dies on SIGTERM.
+        _usable_cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            out = map_trial_ranges(_worker_signals, 8, 2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert out.shape == (8, 2) and out.all()
 
 
 class TestUsableCpus:
