@@ -12,7 +12,8 @@ invalid config, an unusable output directory, or inputs the command refuses)
 exits 2 and writes no manifest.  Past configuration, main times the command
 and writes the one manifest.json, an aborted run included: the merged config,
 the timing and the results the command had recorded (train records its step
-lane and BLAS threads before its first step).  A divergence, a zero gradient
+lane and BLAS threads before its first step, theory its Monte Carlo lane and
+worker count, sweep its worker count).  A divergence, a zero gradient
 or an interrupt (SIGINT or SIGTERM) aborts with exit 3 and adds its cause
 under "aborted"; train writes the runlog.csv rows it recorded however it stops.
 
@@ -66,7 +67,7 @@ from .network import (
     load_network,
     save_network,
 )
-from .parallel import blas_threads, open_lane
+from .parallel import blas_threads, effective_workers, open_lane, trial_lane_pays
 from .rng import AUX_STREAM, DISTRIBUTION_KINDS, RngStream
 from .tables import open_output, write_csv
 from .theory import (
@@ -421,6 +422,9 @@ def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict
     sub, threads = args.subcommand, args.threads
     mc = _mc_config(cfg)
     tcfg = cfg["theory"]
+    results["threads_used"] = effective_workers(threads)
+    # identities draws one layer per trial and keeps its inline path.
+    results["mc_lane"] = "thread" if sub != "identities" and trial_lane_pays(threads) else "inline"
     passed = True
 
     if sub == "thm1":
@@ -610,6 +614,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
+    results["threads_used"] = effective_workers(args.threads)
     report = width_sweep(_train_config(cfg), cfg["sweep"]["widths"], cfg["sweep"]["n_seeds"],
                          cfg["data"]["n_samples"], args.threads)
     report.to_csv(out_dir / "sweep.csv")

@@ -1,5 +1,6 @@
 """Deterministic fan-out of independent work: trial ranges across
-processes, and single numpy calls onto one helper thread (a lane)."""
+processes, and single numpy calls or trial ranges onto one helper thread
+(a lane)."""
 from __future__ import annotations
 
 import os
@@ -45,17 +46,32 @@ def _leave_stops_to_parent() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
+def effective_workers(n_workers: int) -> int:
+    """The worker processes map_trial_ranges runs for n_workers requested:
+    at most _usable_cpus(), since more processes than CPUs would only queue."""
+    return min(n_workers, _usable_cpus())
+
+
+def _split(n_items: int, n_runners: int) -> list[tuple[int, int]]:
+    """[0, n_items) as about four contiguous ranges per runner, in order."""
+    chunk = -(-n_items // (4 * n_runners))
+    return [(s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
+
+
+def map_trial_ranges(fn, n_items: int, n_workers: int = 1, lane: Lane | None = None) -> np.ndarray:
     """Evaluate fn(start, stop) over [0, n_items) and concatenate in order.
 
     fn must be picklable and must derive all randomness from the trial
     indices it receives, so results are identical for every worker count.
-    The effective worker count is n_workers capped at _usable_cpus(): more
-    processes than CPUs would only queue.  The items are split into about
-    four ranges per effective worker, handed out in index order, and the
-    pool never has more workers than ranges.  One worker, or one item (the
-    only count that makes a single range), runs in this process: a pool of
-    one would only fork and pickle.
+    The effective worker count is effective_workers(n_workers).  The items
+    are split into about four ranges per effective worker, handed out in
+    index order, and the pool never has more workers than ranges.  One
+    worker, or one item (the only count that makes a single range), runs in
+    this process: a pool of one would only fork and pickle.  There a thread
+    lane, if given, takes alternate ranges of about four per thread while
+    the caller runs the others, and the caller runs any range the thread has
+    not started when its turn comes (see Lane), so fn runs on the same
+    ranges whoever runs it.
 
     A range goes out only to a free worker, and none after a range fails:
     the pool counts a queued range as running, past cancel_futures' reach,
@@ -63,11 +79,17 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
     """
     if n_items <= 0:
         return np.empty((0,))
-    n_workers = min(n_workers, _usable_cpus())
+    n_workers = effective_workers(n_workers)
     if n_workers <= 1 or n_items == 1:
-        return np.asarray(fn(0, n_items))
-    chunk = -(-n_items // (4 * n_workers))
-    ranges = [(fn, s, min(s + chunk, n_items)) for s in range(0, n_items, chunk)]
+        if lane is None or not lane.threaded or n_items == 1:
+            return np.asarray(fn(0, n_items))
+        ranges = _split(n_items, 2)
+        handed = [lane.submit(fn, *r) for r in ranges[1::2]]
+        parts = [None] * len(ranges)
+        parts[0::2] = [fn(*r) for r in ranges[0::2]]
+        parts[1::2] = [task.result() for task in handed]
+        return np.concatenate([np.asarray(p) for p in parts])
+    ranges = [(fn, *r) for r in _split(n_items, n_workers)]
     from concurrent.futures import FIRST_COMPLETED, wait
 
     n_workers = min(n_workers, len(ranges))
@@ -88,8 +110,8 @@ def map_trial_ranges(fn, n_items: int, n_workers: int = 1) -> np.ndarray:
 
 
 class Lane:
-    """Where a caller sends independent numpy calls: one helper thread, or
-    none (the inline lane).
+    """Where a caller sends independent calls (whole numpy calls, or trial
+    ranges): one helper thread, or none (the inline lane).
 
     submit(fn, *args) returns an object whose result() is fn(*args).  The
     inline lane calls fn at once, in the caller.  A thread lane runs the
@@ -199,15 +221,35 @@ def _bind_next_cpu(caller_cpu: int | None) -> None:
         pass
 
 
-@contextmanager
+def trial_lane_pays(n_workers: int) -> bool:
+    """A helper thread speeds up whole Monte Carlo trial ranges whenever a
+    second CPU is free: the trials run in this process (one effective
+    worker) and at least two CPUs are usable.  The hand-off is a range of
+    trials, so neither the matrix size nor the BLAS thread count matters."""
+    return effective_workers(n_workers) <= 1 and _usable_cpus() >= 2
+
+
 def open_lane(largest_matrix: int):
     """The lane for work on weight matrices of up to largest_matrix entries:
     a thread bound to the CPU after the caller's when _lane_pays, else
-    INLINE.  On exit the thread finishes its running call, drops pending
-    ones and stops, an exception or Ctrl-C included.  concurrent.futures
-    is imported here, so that only a caller that opens a thread pays for it.
+    INLINE.  See _open for how it closes."""
+    return _open(_lane_pays(largest_matrix))
+
+
+def open_trial_lane(n_workers: int):
+    """The lane for map_trial_ranges at n_workers: a thread bound to the CPU
+    after the caller's when trial_lane_pays, else INLINE."""
+    return _open(trial_lane_pays(n_workers))
+
+
+@contextmanager
+def _open(threaded: bool):
+    """INLINE, or a Lane with one thread bound to the CPU after the caller's.
+    On exit the thread finishes its running call, drops pending ones and
+    stops, an exception or Ctrl-C included.  concurrent.futures is imported
+    here, so that only a caller that opens a thread pays for it.
     """
-    if not _lane_pays(largest_matrix):
+    if not threaded:
         yield INLINE
         return
     from concurrent.futures import ThreadPoolExecutor

@@ -1,10 +1,13 @@
 """Seeded random streams and weight initializers with prescribed moments.
 
 Dense matrices and vectors are plain float64 numpy arrays throughout the
-package; this module owns how randomness enters them.  InitDistribution.sample
-fills either a new array or a caller's block in place, with the same bits
-either way: the Monte Carlo engine in theory draws trial i's weights straight
-into its block stacks, bit for bit what init_network draws for trial i.
+package; this module owns how randomness enters them.  A weight draw is one
+raw fill (fill_raw: standard normals, uniforms on [0, 1) or 0/1 integers)
+followed by InitDistribution.transform, the per-layer scale and shift.
+Consecutive fills from one generator continue one sequence, so a single
+fill of a whole network followed by each layer's transform gives, bit for
+bit, the per-layer InitDistribution.sample calls of init_network: the Monte
+Carlo engine in theory draws each trial's network with one generator call.
 """
 from __future__ import annotations
 
@@ -75,38 +78,41 @@ class InitDistribution:
         if self.fan_in < 1:
             raise DimensionError(f"fan_in must be >= 1, got {self.fan_in}")
 
-    def sample(
-        self, shape, rng: "RngStream | np.random.Generator", out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Draw an array of the given shape into out, or into a new array.
-
-        out, if given, must be a C-contiguous float64 array of that shape; it
-        is filled in place and returned.  Either way the values are, bit for
-        bit (signed zeros included), those of gen.normal(0.0, scale) or
-        gen.uniform(-h, h) from the same generator state, and the generator
-        advances by the same amount.
+    def transform(self, raw: np.ndarray) -> np.ndarray:
+        """Turn fill_raw's draws of this kind into weights, in place, and
+        return raw.  The values are, bit for bit (signed zeros included),
+        those of gen.normal(0.0, scale), gen.uniform(-h, h) or the +-scale
+        two-point law from the same generator state.
         """
-        gen = as_generator(rng)
         scale = 1.0 / math.sqrt(self.fan_in)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise DimensionError(
-                f"out must be a C-contiguous float64 array of shape {tuple(shape)}, "
-                f"got {out.dtype} {out.shape}"
-            )
         if self.kind == GAUSSIAN:
             # gen.normal(0.0, scale) evaluates 0.0 + scale * z per draw.
-            gen.standard_normal(out=out)
-            out *= scale
-            out += 0.0
+            raw *= scale
+            raw += 0.0
         elif self.kind == UNIFORM:
             # gen.uniform(low, high) evaluates low + (high - low) * u per draw.
             half_width = math.sqrt(3.0) * scale  # uniform on [-h, h] has variance h^2 / 3
-            gen.random(out=out)
-            out *= half_width - (-half_width)
-            out += -half_width
+            raw *= half_width - (-half_width)
+            raw += -half_width
         else:
-            signs = gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-            np.multiply(signs, scale, out=out)
-        return out
+            raw *= 2.0
+            raw -= 1.0
+            raw *= scale
+        return raw
+
+    def sample(self, shape, rng: "RngStream | np.random.Generator") -> np.ndarray:
+        """A new array of the given shape: fill_raw, then transform."""
+        return self.transform(fill_raw(self.kind, as_generator(rng), np.empty(shape)))
+
+
+def fill_raw(kind: str, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 array out with one generator call of
+    kind's raw draws (standard normals, uniforms on [0, 1), or 0/1 integers
+    as floats) and return it."""
+    if kind == GAUSSIAN:
+        gen.standard_normal(out=out)
+    elif kind == UNIFORM:
+        gen.random(out=out)
+    else:
+        out[...] = gen.integers(0, 2, size=out.shape)
+    return out

@@ -18,8 +18,8 @@ results are independent of scheduling and worker count.
 
 The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
-once, by InitDistribution.sample straight into the block's weight stacks
-(the same bits init_network draws for that trial), and the kernels that
+once, with one generator call into the block's weight stacks (the same bits
+init_network draws for that trial), and the kernels that
 also serve batches and training probes (network._forward, which carries the
 Taylor coefficients along the gradient, and diff._output_sensitivities) run
 on the stack and yield every per-trial column.  The public samplers select
@@ -38,8 +38,8 @@ import numpy as np
 from .diff import _output_sensitivities, squared_error
 from .errors import DimensionError, DirectionError
 from .network import IDENTITY, Architecture, _forward
-from .parallel import map_trial_ranges
-from .rng import AUX_STREAM, DISTRIBUTION_KINDS, GAUSSIAN, InitDistribution, RngStream
+from .parallel import map_trial_ranges, open_trial_lane
+from .rng import AUX_STREAM, DISTRIBUTION_KINDS, GAUSSIAN, InitDistribution, RngStream, fill_raw
 
 # Unused here, but bench/spans.py wraps these names in this module.
 from .diff import output_gradient, output_hessian_grad_product, output_hessian_vp  # noqa: F401
@@ -158,20 +158,26 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
     """Per-trial table (_OUTPUT, _GRAD_NORM_SQ, _QUADFORM, _TARGET_SIGN columns)
     for trials [start, stop), drawing each trial's network once.
 
-    Trial i draws from RngStream(master_seed, i), in this order: the network,
-    layer by layer, by InitDistribution.sample straight into the block's
-    weight stacks (the bits init_network would draw), then the +-1 target
-    sign, except in the cross ensemble (whose rows carry sign 0).  fixed
-    holds the shared inputs (u, or u and v).  Rows depend only on their own
-    trial, so the table does not depend on how [0, n) is split into ranges
-    or blocks.
+    Trial i draws from RngStream(master_seed, i), in this order: its whole
+    network, with one fill_raw call into the trial's row of the block's
+    (trials, P) buffer, then the +-1 target sign, except in the cross
+    ensemble (whose rows carry sign 0).  The buffer's per-layer views are
+    the weight stacks, and each layer's InitDistribution.transform runs once
+    per block stack, so trial i's weights are, bit for bit, those
+    init_network draws from the same stream.  fixed holds the shared inputs
+    (u, or u and v).  Rows depend only on their own trial, so the table does
+    not depend on how [0, n) is split into ranges or blocks, nor on the
+    thread that runs a range.
     """
     arch = cfg.architecture
     n0 = arch.widths[0]
     block = max(1, min(_trials_per_block(arch), stop - start))
-    shapes = list(zip(arch.widths[:-1], arch.widths[1:]))
-    dists = [InitDistribution(cfg.distribution, m) for m, _ in shapes]
-    ws = [np.empty((block, m, n)) for m, n in shapes]
+    draws = np.empty((block, arch.n_params))
+    dists, ws, offset = [], [], 0
+    for m, n in zip(arch.widths[:-1], arch.widths[1:]):
+        dists.append(InitDistribution(cfg.distribution, m))
+        ws.append(draws[:, offset : offset + m * n].reshape(block, m, n, copy=False))
+        offset += m * n
     inputs = [np.empty((block, 1, n0)) for _ in range(2 if cross else 1)]
     for buf, vec in zip(inputs, fixed):
         buf[:] = vec
@@ -181,20 +187,24 @@ def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.nd
         t = min(block, stop - b0)
         for j in range(t):
             gen = RngStream(cfg.master_seed, b0 + j).generator()
-            for dist, shape, stack in zip(dists, shapes, ws):
-                dist.sample(shape, gen, out=stack[j])
+            fill_raw(cfg.distribution, gen, draws[j])
             if not cross:
                 signs[j] = float(gen.integers(0, 2)) * 2.0 - 1.0
+        stacks = [dist.transform(w[:t]) for dist, w in zip(dists, ws)]
         rows = out[b0 - start : b0 - start + t]
-        cols = _taylor_columns([w[:t] for w in ws], *(buf[:t] for buf in inputs))
+        cols = _taylor_columns(stacks, *(buf[:t] for buf in inputs))
         rows[:, _OUTPUT], rows[:, _GRAD_NORM_SQ], rows[:, _QUADFORM] = cols
         rows[:, _TARGET_SIGN] = signs[:t]
     return out
 
 
 def _mc_table(cfg: McConfig, n_workers: int, cross: bool = False) -> np.ndarray:
+    """The engine's table for all cfg.n_trials trials.  At one effective
+    worker with a second CPU free, a lane thread takes alternate trial
+    ranges (see parallel.map_trial_ranges); the table is the same bytes."""
     fn = partial(_mc_chunk, cfg, _fixed_inputs(cfg, 2 if cross else 1), cross)
-    return map_trial_ranges(fn, cfg.n_trials, n_workers)
+    with open_trial_lane(n_workers) as lane:
+        return map_trial_ranges(fn, cfg.n_trials, n_workers, lane)
 
 
 @lru_cache(maxsize=1)

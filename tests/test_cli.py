@@ -2,6 +2,8 @@ import json
 import signal
 import subprocess
 import sys
+import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -745,6 +747,41 @@ class TestLifecycle:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+class TestRunManifest:
+    """theory records its Monte Carlo lane and its worker count, sweep its
+    worker count: the workers map_trial_ranges runs once it caps the request
+    at the usable CPUs."""
+
+    def test_theory_lane_thread_or_inline_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "c.ini", "[arch]\nwidths = 8 8 8 1\n\n[mc]\ntrials = 120\nseed = 5\n")
+        for cpus in (1, 2):
+            monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: cpus)
+            curvkit.theory._shared_table.cache_clear()
+            for sub in ("thm2", "identities"):
+                assert cli.main(["theory", sub, "--config", cfg, "--out", str(tmp_path / f"{sub}{cpus}")]) in (0, 1)
+        for cpus, lane in ((1, "inline"), (2, "thread")):
+            manifest = strict_json(tmp_path / f"thm2{cpus}" / "manifest.json")
+            assert (manifest["mc_lane"], manifest["threads_used"]) == (lane, 1)
+            manifest = strict_json(tmp_path / f"identities{cpus}" / "manifest.json")
+            assert (manifest["mc_lane"], manifest["threads_used"]) == ("inline", 1)
+        for name in ("thm2/thm2.csv", "thm2/delta_table.csv", "identities/identities.csv"):
+            sub, file = name.split("/")
+            assert (tmp_path / f"{sub}1" / file).read_bytes() == (tmp_path / f"{sub}2" / file).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_used_after_the_cap(self, tmp_path, monkeypatch, cpus):
+        # --threads 5 runs in this process on one usable CPU and in a pool of
+        # two worker processes on two; the lane stays inline either way.
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: cpus)
+        cfg = write_config(tmp_path / "c.ini", TINY)
+        for command in (["theory", "cross"], ["sweep"]):
+            out = tmp_path / command[-1]
+            assert cli.main([*command, "--config", cfg, "--out", str(out), "--threads", "5"]) in (0, 1)
+            manifest = strict_json(out / "manifest.json")
+            assert manifest["threads_used"] == cpus
+            assert manifest.get("mc_lane") == ("inline" if command[0] == "theory" else None)
+
+
 class TestStops:
     """An interrupt is a runtime abort: exit 3, its cause in the manifest,
     and train's runlog.csv holds the steps recorded before it."""
@@ -808,3 +845,54 @@ class TestStops:
         assert sorted(p.name for p in out.iterdir()) == ["dataset.csv", "manifest.json", "runlog.csv"]
         _, _, rows = read_csv(out / "runlog.csv")
         assert [int(r[0]) for r in rows] == list(range(len(rows)))
+
+    def test_interrupted_trial_range_stops_the_lane(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 2)
+        chunk = curvkit.theory._mc_chunk
+
+        def ctrl_c_in_the_callers_second_range(cfg, fixed, cross, start, stop):
+            if start > 0 and threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            return chunk(cfg, fixed, cross, start, stop)
+
+        monkeypatch.setattr(curvkit.theory, "_mc_chunk", ctrl_c_in_the_callers_second_range)
+        curvkit.theory._shared_table.cache_clear()
+        cfg = write_config(tmp_path / "c.ini", "[arch]\nwidths = 8 8 8 1\n\n[mc]\ntrials = 400\n")
+        out = tmp_path / "out"
+        before = threading.active_count()
+        code = cli.main(["theory", "thm2", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "aborted: interrupted (SIGINT)\n"
+        assert threading.active_count() == before
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["aborted"] == "interrupted (SIGINT)"
+        assert manifest["mc_lane"] == "thread"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_sigint_after_main_returned_keeps_its_exit_code(self, tmp_path):
+        # A profile hook notes cli.main's return and sends SIGINT at the next
+        # call, which curvkit's __main__ makes once every output is written.
+        child = textwrap.dedent("""
+            import os, runpy, signal, sys
+            import curvkit.cli
+
+            returned = []
+
+            def hook(frame, event, arg):
+                if event == "return" and frame.f_code is curvkit.cli.main.__code__:
+                    returned.append(arg)
+                elif returned and event in ("call", "c_call"):
+                    sys.setprofile(None)
+                    print(f"main returned {returned[0]}; SIGINT", file=sys.stderr, flush=True)
+                    os.kill(os.getpid(), signal.SIGINT)
+
+            sys.argv[0] = "curvkit"
+            sys.setprofile(hook)
+            runpy.run_module("curvkit", run_name="__main__")
+        """)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", child, "check", "--out", str(out)], capture_output=True,
+                              text=True, cwd=tmp_path, env=child_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "main returned 0; SIGINT\n")
+        assert proc.stdout.endswith("all checks passed\n")
+        assert sorted(p.name for p in out.iterdir()) == ["check_report.json", "manifest.json"]

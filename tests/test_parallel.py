@@ -97,6 +97,12 @@ class TestMapTrialRanges:
     def test_no_items(self):
         assert map_trial_ranges(_range_of_each_item, 0, 2).shape == (0,)
 
+    def test_thread_lane_shares_the_ranges_of_one_worker(self, thread_lane):
+        # Four ranges per thread, caller and lane: 1000 items in eight of 125.
+        out = map_trial_ranges(_range_of_each_item, 1000, 1, thread_lane)
+        assert out.tolist() == [[s - s % 125, s - s % 125 + 125] for s in range(1000)]
+        assert map_trial_ranges(_range_of_each_item, 1, 1, thread_lane).tolist() == [[0, 1]]
+
     def test_one_item_opens_no_pool(self, monkeypatch):
         opened = _inline_pool(monkeypatch)
         out = map_trial_ranges(_range_of_each_item, 1, 2)

@@ -1,8 +1,11 @@
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
+import curvkit.parallel
+import curvkit.theory
 from curvkit import (
     CurvatureBoundParams,
     DeviationTable,
@@ -30,11 +33,12 @@ from curvkit.diff import (
     squared_error,
 )
 from curvkit.network import forward
-from curvkit.rng import AUX_STREAM, InitDistribution
+from curvkit.rng import AUX_STREAM
 from curvkit.theory import (
     _QUADFORM,
     _fixed_inputs,
     _mc_chunk,
+    _mc_table,
     _shared_table,
     _taylor_columns,
     _trials_per_block,
@@ -132,6 +136,66 @@ class TestStackDraws:
         assert np.array_equal(chunk, _per_trial_network_table(cfg, cross))
 
 
+class TestTrialLane:
+    """A lane thread takes alternate trial ranges at one worker; the table is
+    the inline table byte for byte, whoever ran each range."""
+
+    @staticmethod
+    def _ranges_by_thread(monkeypatch):
+        ran = []
+        chunk = curvkit.theory._mc_chunk
+
+        def recording(cfg, fixed, cross, start, stop):
+            ran.append((start, stop, threading.current_thread() is threading.main_thread()))
+            return chunk(cfg, fixed, cross, start, stop)
+
+        monkeypatch.setattr(curvkit.theory, "_mc_chunk", recording)
+        return ran
+
+    @pytest.mark.parametrize("master_seed", [30, 31])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_thread_lane_table_equals_inline(self, monkeypatch, master_seed, cross):
+        cfg = McConfig(widths=(16, 16, 16, 1), n_trials=50, master_seed=master_seed)
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 1)
+        inline = _mc_table(cfg, 1, cross)
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 2)
+        ran = self._ranges_by_thread(monkeypatch)
+        threaded = _mc_table(cfg, 1, cross)
+        assert threaded.tobytes() == inline.tobytes()
+        # Eight ranges of 7 trials (the last 1), each run once; the caller
+        # runs the even ones.
+        assert sorted(r[:2] for r in ran) == [(s, min(s + 7, 50)) for s in range(0, 50, 7)]
+        assert {r[:2] for r in ran if r[2]} >= {(s, s + 7) for s in range(0, 50, 14)}
+
+    def test_caller_takes_back_the_ranges_a_busy_thread_has_not_started(self, monkeypatch):
+        cfg = McConfig(widths=(16, 16, 16, 1), n_trials=50, master_seed=32)
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 1)
+        inline = _mc_table(cfg, 1)
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 2)
+        ran = self._ranges_by_thread(monkeypatch)
+        release = threading.Event()
+
+        def held(caller_cpu):  # the thread's start-up, before it takes a range
+            release.wait(30)
+
+        monkeypatch.setattr(curvkit.parallel, "_bind_next_cpu", held)
+        chunk = curvkit.theory._mc_chunk
+
+        def release_after_the_last(cfg, fixed, cross, start, stop):
+            try:
+                return chunk(cfg, fixed, cross, start, stop)
+            finally:
+                if stop == cfg.n_trials:
+                    release.set()
+
+        monkeypatch.setattr(curvkit.theory, "_mc_chunk", release_after_the_last)
+        threaded = _mc_table(cfg, 1)
+        assert threaded.tobytes() == inline.tobytes()
+        # Even ranges first, then each odd range the thread never started.
+        starts = [0, 14, 28, 42, 7, 21, 35, 49]
+        assert ran == [(s, min(s + 7, 50), True) for s in starts]
+
+
 class TestPredictedScale:
     def test_small_architecture(self):
         assert predicted_variance_scale((4, 4, 1)) == pytest.approx(25.0 / 64.0, rel=0)
@@ -211,21 +275,23 @@ class TestQuadform:
             _shared_table.cache_clear()
             alone.append(sampler(cfg))
         _shared_table.cache_clear()
-        draws = []
-        sample = InitDistribution.sample
+        streams = []
+        generator = RngStream.generator
 
-        def counting_sample(self, *args, **kwargs):
-            draws.append(self.fan_in)
-            return sample(self, *args, **kwargs)
+        def counting_generator(self):
+            streams.append(self.stream_index)
+            return generator(self)
 
-        monkeypatch.setattr(InitDistribution, "sample", counting_sample)
+        monkeypatch.setattr(RngStream, "generator", counting_generator)
         together = [grad_norm_samples(cfg), quadform_samples(cfg), positivity_samples(cfg, 0.5)]
-        assert draws == list(cfg.widths[:-1]) * cfg.n_trials  # one network per trial
+        # One generator per trial, whichever thread ran its range, plus the
+        # shared inputs' aux stream.
+        assert sorted(streams) == [*range(cfg.n_trials), AUX_STREAM]
         for a, b in zip(alone, together):
             assert np.array_equal(a, b)
         together[1][:] = 0.0  # callers get copies, not the shared table
         assert np.array_equal(quadform_samples(cfg), alone[1])
-        assert len(draws) == cfg.n_trials * cfg.architecture.depth
+        assert len(streams) == cfg.n_trials + 1
 
 
 class TestGradNorm:
