@@ -12,10 +12,11 @@ invalid config, an unusable output directory, or inputs the command refuses)
 exits 2 and writes no manifest.  Past configuration, main times the command
 and writes the one manifest.json, an aborted run included: the merged config,
 the timing and the results the command had recorded (train records its step
-lane and BLAS threads before its first step, theory its Monte Carlo lane and
-worker count, sweep its worker count).  A divergence, a zero gradient
-or an interrupt (SIGINT or SIGTERM) aborts with exit 3 and adds its cause
-under "aborted"; train writes the runlog.csv rows it recorded however it stops.
+lane and BLAS threads before its first step, theory its Monte Carlo lane,
+theory and sweep the worker counts requested and used).  A divergence, a
+zero gradient or an interrupt (SIGINT or SIGTERM) aborts with exit 3 and adds
+its cause under "aborted"; train writes the runlog.csv rows it recorded
+however it stops.
 
 Exit codes: 0 success, 1 check or statistical failure, 2 configuration
 error, 3 runtime abort.
@@ -63,6 +64,7 @@ from .network import (
     RELU,
     Architecture,
     Network,
+    batch_forward,
     init_network,
     load_network,
     save_network,
@@ -269,6 +271,22 @@ def _relative(num: float, den: float) -> float:
     return num / max(den, 1e-300)
 
 
+def _hessian_is_rounding(net: Network, inputs: np.ndarray, targets: np.ndarray,
+                         loss: LossFunction, dec) -> bool:
+    """Whether the dense loss Hessian is no larger than the rounding of the
+    sum that forms it: n terms, so at most n eps times their norms.
+
+    That is the case where the loss Hessian is zero: exactly zero, or a
+    cancellation (e.g. width-1 inputs +-1 under raw_output, whose output
+    Hessians are +-H(1)) that leaves only a few ulps of its terms.
+    """
+    n = inputs.shape[0]
+    slopes = loss.d1(batch_forward(net, inputs).outputs, targets)
+    terms = sum(abs(s) * np.linalg.norm(output_hessian(net, x)) for s, x in zip(slopes, inputs))
+    scale = np.linalg.norm(dec.gauss_newton) + terms / n
+    return bool(np.linalg.norm(dec.hessian) <= n * np.finfo(np.float64).eps * scale)
+
+
 def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction,
                gen: np.random.Generator) -> list[dict]:
     """The oracle-equivalence suite: one row (name, value, tolerance, passed)
@@ -276,7 +294,10 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
 
     The output-Hessian rows take inputs[0]; the loss rows take the whole
     batch.  The matrix-free rows draw their 50 directions from gen.  A row
-    passes when its value is at most its tolerance, so NaN fails.
+    passes when its value is at most its tolerance, so NaN fails.  A batch
+    whose loss Hessian is zero (see _hessian_is_rounding) is refused with
+    ConfigError: each loss row is a relative error, and it would compare
+    rounding with zero.
     """
     checks: list[dict] = []
 
@@ -292,6 +313,12 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
         )
 
     with np.errstate(all="ignore"):
+        dec = decompose(net, inputs, targets, loss)
+        if _hessian_is_rounding(net, inputs, targets, loss, dec):
+            raise ConfigError(
+                "the loss Hessian on this batch is zero (to rounding): "
+                "no relative error of the loss rows is defined"
+            )
         x0 = inputs[0]
         dense = output_hessian(net, x0)
         dense_norm = np.linalg.norm(dense)
@@ -305,7 +332,6 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
         cases = output_hessian_grad_product(net, x0)
         add("case-product-vs-dense", _relative(np.linalg.norm(cases - reference), np.linalg.norm(reference)), 1e-10)
 
-        dec = decompose(net, inputs, targets, loss)
         fd_loss = fd_hessian(net, inputs, targets, loss)
         add("decomposition-vs-fd", _relative(np.linalg.norm(dec.hessian - fd_loss), np.linalg.norm(fd_loss)), 1e-4)
 
@@ -422,6 +448,7 @@ def cmd_theory(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict
     sub, threads = args.subcommand, args.threads
     mc = _mc_config(cfg)
     tcfg = cfg["theory"]
+    results["threads_requested"] = threads
     results["threads_used"] = effective_workers(threads)
     # identities draws one layer per trial and keeps its inline path.
     results["mc_lane"] = "thread" if sub != "identities" and trial_lane_pays(threads) else "inline"
@@ -614,6 +641,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict) -> int:
+    results["threads_requested"] = args.threads
     results["threads_used"] = effective_workers(args.threads)
     report = width_sweep(_train_config(cfg), cfg["sweep"]["widths"], cfg["sweep"]["n_seeds"],
                          cfg["data"]["n_samples"], args.threads)

@@ -14,9 +14,12 @@ given a weight direction, batch_forward carries the first two Taylor
 coefficients of every layer along it.  The R-op and the Gauss-Newton
 product ggn_vp read the Jacobian-vector products off that pass, and
 gradient_curvatures reads both parts of the curvature along the loss
-gradient off the output's two coefficients, with no backward pass.  The
-forward pass takes the direction as its action v -> v D_l on each layer,
-so the Monte Carlo engine in theory runs it on stacks of networks too.
+gradient off the output's two coefficients.  The forward pass takes the
+direction as its action v -> v D_l on each layer, so the Monte Carlo
+engine in theory runs it on stacks of networks too, and
+gradient_curvatures runs it along a gradient it never forms: a batch
+gradient's layer block is the product of two (N, width) factors, and its
+action is two thin products with them.
 The dense output Hessian is a closed form for linear networks that shares
 no kernel with the R-op; it covers a relu network on the linear piece its
 input lies in.  Its case-formula product with the gradient is for linear
@@ -609,31 +612,52 @@ def _dense_along(dirs: list[np.ndarray]):
 
 
 def gradient_curvatures(
-    net: Network, inputs, targets, loss: LossFunction, g: np.ndarray
-) -> tuple[float, float, float]:
-    """Curvature of the batch-mean loss along u = g / ||g||, split in two.
+    net: Network, inputs, targets, loss: LossFunction
+) -> tuple[float, float, float, float, float]:
+    """Batch-mean loss, ||g||^2 and the curvature along u = g / ||g||, split
+    in two, without forming the gradient g.
 
-    One forward pass carrying (z, z', z'') along u (univariate Taylor mode;
-    Griewank & Walther, Evaluating Derivatives, ch. 13) gives the output's
-    first and second directional derivatives y' and y'' for every sample.
-    Returns (hess_proj, gn_proj, fun_proj): the Gauss-Newton part
-    u.G u = mean L''(y) y'^2, the functional part u.H u = mean L'(y) y'', and
-    their sum u.(G + H) u, so the split holds exactly.  For relu networks it
-    is the curvature of the smooth piece the batch lies in, as for hvp.
+    Returns (loss, g_sq, hess_proj, gn_proj, fun_proj).  One traced forward
+    pass and the backward chain seeded with the slopes c = L'(y) / N give
+    g's factors: layer k's block is G_k = Y_{k-1}^T A_k, Y_{k-1} the layer's
+    input activations and A_k the c-weighted sensitivities, both
+    (N, width), so its rank is at most N (Goodfellow, "Efficient
+    per-example gradient computations", 2015).  Then
+    ||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o (A_k A_k^T)), and u acts on a
+    layer as along(k, v) = ((v Y_k^T) A_{k+1}) / ||g||: thin products,
+    with no (n_{k-1}, n_k) block and no P-sized array.
+
+    A second forward pass, which holds only the layer it computes, carries
+    (z, z', z'') along u (univariate Taylor mode; Griewank & Walther,
+    Evaluating Derivatives, ch. 13) and gives the output's first and second
+    directional derivatives y' and y'' for every sample: the Gauss-Newton
+    part u.G u = mean L''(y) y'^2, the functional part u.H u =
+    mean L'(y) y'', and hess_proj is their sum, so the split holds exactly.  For relu networks it is the curvature of
+    the smooth piece the batch lies in, as for hvp.  A zero gradient raises
+    DirectionError.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
-    g = np.asarray(g, dtype=np.float64).reshape(-1)
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
+    trace = batch_forward(net, x)
+    acts, y = trace.activations, trace.outputs
+    value = float(np.mean(loss.value(y, t)))
+    factors = _output_sensitivities(net.weights, (loss.d1(y, t) / x.shape[0])[:, None], trace.masks)
+    # The Hadamard products are rounded before they are summed (no fused
+    # multiply-add), so blocks that cancel exactly, as those of the samples
+    # +x and -x do under raw_output, give exactly 0.
+    g_sq = sum(
+        float(np.sum((acts[k - 1] @ acts[k - 1].T) * (factors[k] @ factors[k].T)))
+        for k in range(1, net.depth + 1)
+    )
+    if g_sq == 0.0:
         raise DirectionError("cannot project along a zero gradient")
-    # Each block of u is divided out where the pass uses it: no P-sized u.
-    dirs = _direction_layers(net, g)
-    trace = batch_forward(net, x, lambda k, v: v @ (dirs[k] / norm))
-    y = trace.outputs
-    gn_proj = float(np.mean(loss.d2(y, t) * trace.output_dot**2))
-    fun_proj = float(np.mean(loss.d1(y, t) * trace.output_ddot))
-    return gn_proj + fun_proj, gn_proj, fun_proj
+    norm = np.sqrt(g_sq)
+    for a_k in factors[1:]:
+        a_k /= norm  # now A_{k+1} / ||g||: u's factors
+    taylor = batch_forward(net, x, lambda k, v: (v @ acts[k].T) @ factors[k + 1], outputs_only=True)
+    gn_proj = float(np.mean(loss.d2(y, t) * taylor.output_dot**2))
+    fun_proj = float(np.mean(loss.d1(y, t) * taylor.output_ddot))
+    return value, g_sq, gn_proj + fun_proj, gn_proj, fun_proj
 
 
 def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:

@@ -5,8 +5,9 @@ random unit-norm inputs with random binary labels under squared error,
 recording at every step the loss, squared gradient norm, and the one-step
 curvature estimator, plus exact gradient-aligned curvature projections at a
 configurable probe cadence.  Probes never build dense matrices: one
-second-order Taylor pass along the gradient gives the Gauss-Newton and the
-functional part of the curvature directly, and the total as their sum.
+second-order Taylor pass along the gradient, which acts through the
+gradient's per-layer factors, gives the Gauss-Newton and the functional
+part of the curvature directly, and the total as their sum.
 """
 from __future__ import annotations
 
@@ -186,13 +187,16 @@ class RunLog:
 
 
 def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> CurvatureRecord:
-    """The step-0 measurement a training run would record, without training."""
+    """The step-0 measurement a training run would record, without training.
+
+    One gradient_curvatures call gives the loss, ||g||^2 and the curvature
+    split from the gradient's per-layer factors, so the probe holds the
+    weights plus O(batch x sum of widths) floats, never a P-sized gradient.
+    """
     perm = RngStream(cfg.data_seed, 1).generator().permutation(dataset.n_samples)
     idx = perm[: min(cfg.batch_size, dataset.n_samples)]
     x, t = dataset.inputs[idx], dataset.targets[idx]
-    loss_value, g = loss_and_gradient(net, x, t, cfg.loss)
-    g_sq = float(g @ g)
-    hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss, g)
+    loss_value, g_sq, hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss)
     return CurvatureRecord(
         step=0,
         epoch=1,
@@ -288,7 +292,7 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
             g_sq = float(g @ g)
             probed = step % probe_every == 0
             if probed and g_sq > 0.0:
-                hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss, g)
+                hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss)[2:]
                 curvatures = (hess, gn, fun, 0.5 * hess * g_sq)
             else:
                 curvatures = (None,) * 4

@@ -176,8 +176,9 @@ class BatchTrace:
     direction, tangents[k] is hidden layer k's a'_k (None for the input), and
     output_dot and output_ddot are the outputs' first and second directional
     derivatives; without one they are None.  A loss-only pass keeps no
-    trace: its activations are the input and the outputs only, and its
-    masks are None.
+    trace: its activations are the input and the outputs only, its tangents
+    (along a direction) the input's None and the last hidden layer's, and
+    its masks are None.
     """
 
     activations: list[np.ndarray]
@@ -205,8 +206,10 @@ def batch_forward(net: Network, inputs: np.ndarray, along=None, outputs_only: bo
     """Forward one input (n_0,) or a batch (n_samples, n_0); rows are samples.
 
     With along, the action of a weight direction (see _forward), the trace
-    also carries the Taylor coefficients along it.  With outputs_only, a
-    loss-only pass, it keeps no trace: only the input and the outputs.
+    also carries the Taylor coefficients along it.  With outputs_only (a
+    loss-only pass, or a Taylor pass that reads only the output's
+    coefficients) it keeps no trace: only the input, the outputs and the
+    last hidden layer's tangents.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != net.arch.widths[0]:
@@ -220,7 +223,8 @@ def _forward(weights, x: np.ndarray, relu: bool, along=None, outputs_only: bool 
     """The layer loop of every forward pass: activations, input first, and
     the bool active-unit masks of the hidden layers (None without relu).
     With outputs_only it holds only the layer it is computing: the trace
-    keeps the input and the outputs, and no masks.
+    keeps the input and the outputs, the last hidden layer's tangents along
+    a direction, and no masks.
 
     Given a weight direction D through its action along(k, v) = v D_{k+1},
     it also carries the first two Taylor coefficients of every layer along
@@ -256,10 +260,11 @@ def _forward(weights, x: np.ndarray, relu: bool, along=None, outputs_only: bool 
                 z_ddot = None if z_ddot is None else z_ddot * mask
         if along is not None and l < depth:
             tangents.append(z_dot)
-        if outputs_only:
-            acts[1:] = [z]
-        else:
-            acts.append(z)
+        acts.append(z)
+        if outputs_only:  # hold only the layer just computed
+            del acts[1:-1]
+            if tangents is not None:
+                del tangents[1:-1]
     if along is None:
         return BatchTrace(acts, masks)
     z_ddot = np.zeros_like(z) if z_ddot is None else z_ddot  # one layer: y is linear in W

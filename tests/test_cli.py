@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvkit
@@ -18,6 +18,7 @@ from curvkit import (
     Architecture,
     ConfigError,
     DirectionError,
+    Network,
     RngStream,
     decompose,
     gradient_curvatures,
@@ -166,16 +167,19 @@ class TestCheck:
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
         # Width-1 unit inputs are +-1, so under raw_output the loss Hessian is
-        # (mean sign) H(1): exactly 0 when the signs cancel, where no relative
-        # error is defined.
-        assume(not (loss == raw_output() and widths[0] == 1 and xs.sum() == 0.0))
+        # (mean sign) H(1): zero when the signs cancel, where no relative
+        # error is defined, and the suite refuses the batch.
+        if loss == raw_output() and widths[0] == 1 and xs.sum() == 0.0:
+            with pytest.raises(ConfigError, match="loss Hessian on this batch is zero"):
+                cli.run_checks(net, xs, ts, loss, gen)
+            return
         rows = cli.run_checks(net, xs, ts, loss, gen)
         assert [r["name"] for r in rows if not r["passed"]] == []
         # The curvature probe along the loss gradient against the dense split.
         dec = decompose(net, xs, ts, loss)
         g = loss_and_gradient(net, xs, ts, loss)[1]
         u = g / np.linalg.norm(g)
-        hess_proj, gn_proj, _ = gradient_curvatures(net, xs, ts, loss, g)
+        hess_proj, gn_proj = gradient_curvatures(net, xs, ts, loss)[2:4]
         for probe, part in ((hess_proj, dec.hessian), (gn_proj, dec.gauss_newton)):
             assert abs(probe - u @ part @ u) <= 1e-10 * np.linalg.norm(part)
 
@@ -560,6 +564,20 @@ class TestExitCodes:
         assert "output width must be 1" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_zero_loss_hessian_is_exit_2(self, tmp_path, capsys):
+        # At all-zero weights a three-layer net's output gradient and output
+        # Hessian vanish, so the loss Hessian is exactly 0 and check refuses
+        # the batch rather than compare rounding with zero.
+        widths = (3, 3, 3, 1)
+        net = Network(Architecture(widths), [np.zeros(shape) for shape in zip(widths, widths[1:])])
+        save_network(net, tmp_path / "zero.txt")
+        cfg = write_config(tmp_path / "c.ini", SMALL)
+        out = tmp_path / "out"
+        code = cli.main(["check", "--config", cfg, "--weights", str(tmp_path / "zero.txt"), "--out", str(out)])
+        assert code == 2
+        assert "loss Hessian on this batch is zero" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("write, cause", WEIGHT_FILES)
     def test_unsupported_weight_file_is_exit_2(self, tmp_path, write, cause):
         weights_path = tmp_path / "net.txt"
@@ -748,9 +766,9 @@ class TestLifecycle:
 
 
 class TestRunManifest:
-    """theory records its Monte Carlo lane and its worker count, sweep its
-    worker count: the workers map_trial_ranges runs once it caps the request
-    at the usable CPUs."""
+    """theory records its Monte Carlo lane; theory and sweep record the
+    worker count requested and the count used: the workers map_trial_ranges
+    runs once it caps the request at the usable CPUs."""
 
     def test_theory_lane_thread_or_inline_writes_the_same_bytes(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "c.ini", "[arch]\nwidths = 8 8 8 1\n\n[mc]\ntrials = 120\nseed = 5\n")
@@ -778,8 +796,18 @@ class TestRunManifest:
             out = tmp_path / command[-1]
             assert cli.main([*command, "--config", cfg, "--out", str(out), "--threads", "5"]) in (0, 1)
             manifest = strict_json(out / "manifest.json")
-            assert manifest["threads_used"] == cpus
+            assert (manifest["threads_requested"], manifest["threads_used"]) == (5, cpus)
             assert manifest.get("mc_lane") == ("inline" if command[0] == "theory" else None)
+
+    def test_an_aborted_sweep_records_both_counts(self, tmp_path, monkeypatch):
+        # Both are recorded before the first cell runs, so an abort keeps them.
+        monkeypatch.setattr(curvkit.parallel, "_usable_cpus", lambda: 1)
+        cfg = write_config(tmp_path / "c.ini", DEAD_RELU_SWEEP.format(epochs=0))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--threads", "3"]) == 3
+        manifest = strict_json(out / "manifest.json")
+        assert "zero gradient" in manifest["aborted"]
+        assert (manifest["threads_requested"], manifest["threads_used"]) == (3, 1)
 
 
 class TestStops:

@@ -30,6 +30,7 @@ from curvkit import (
     squared_error,
 )
 from curvkit.curvature import curvature_projection
+from curvkit.experiment import TrainConfig, generate_dataset, initial_probe
 import curvkit.diff
 import curvkit.network
 from curvkit.diff import _QUART_EPS, _FdStencil
@@ -607,15 +608,18 @@ class TestGgnVp:
 
 
 class TestGradientCurvatures:
-    """The Taylor pass against projections of the R-op and Gauss-Newton products."""
+    """The factored probe against projections of the R-op and Gauss-Newton
+    products along the dense gradient."""
 
     @staticmethod
     def assert_matches_products(net, xs, ts, loss):
-        _, g = loss_and_gradient(net, xs, ts, loss)
+        value_ref, g = loss_and_gradient(net, xs, ts, loss)
         hess_ref = curvature_projection(lambda v: hvp(net, xs, ts, loss, v), g)
         gn_ref = curvature_projection(lambda v: ggn_vp(net, xs, ts, loss, v), g)
-        hess, gn, fun = gradient_curvatures(net, xs, ts, loss, g)
+        value, g_sq, hess, gn, fun = gradient_curvatures(net, xs, ts, loss)
         scale = max(abs(hess_ref), abs(gn_ref))
+        assert value == value_ref
+        assert abs(g_sq - g @ g) <= 1e-12 * (g @ g)
         assert abs(hess - hess_ref) <= 1e-12 * scale
         assert abs(gn - gn_ref) <= 1e-12 * scale
         assert abs(fun - (hess_ref - gn_ref)) <= 1e-12 * scale
@@ -644,15 +648,33 @@ class TestGradientCurvatures:
         ts = gen.integers(0, 2, 9) * 2.0 - 1.0
         self.assert_matches_products(net, xs, ts, squared_error())
 
-    def test_zero_gradient_rejected(self):
-        net = random_net((3, 2, 1), 99)
-        with pytest.raises(DirectionError, match="cannot project along a zero gradient"):
-            gradient_curvatures(net, np.ones((2, 3)), 0.0, squared_error(), np.zeros(8))
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    @pytest.mark.parametrize("n_samples", [6, 100])
+    def test_fewer_and_more_samples_than_width(self, activation, n_samples):
+        # The factors are (N, width): thin for N < width, wider than the
+        # layer blocks they stand for when N > width.
+        net = random_net((40, 40, 40, 1), 99, activation)
+        gen = RngStream(100, 0).generator()
+        xs = gen.standard_normal((n_samples, 40))
+        ts = gen.integers(0, 2, n_samples) * 2.0 - 1.0
+        self.assert_matches_products(net, xs, ts, squared_error())
 
-    def test_wrong_length_rejected(self):
-        net = random_net((3, 2, 1), 99)
-        with pytest.raises(DimensionError):
-            gradient_curvatures(net, np.ones((2, 3)), 0.0, squared_error(), np.ones(7))
+    def test_dead_relu_net_is_a_zero_gradient(self):
+        # Positive inputs through negative first-layer weights: every hidden
+        # unit is dead, so every factor and every block of g is zero.
+        net = random_net((3, 4, 4, 1), 101, "relu")
+        net.weights[0] = -np.abs(net.weights[0])
+        with pytest.raises(DirectionError, match="cannot project along a zero gradient"):
+            gradient_curvatures(net, np.ones((2, 3)), [1.0, -1.0], squared_error())
+
+    def test_sign_cancelling_batch_is_a_zero_gradient(self):
+        # Width-1 inputs +1 and -1 under raw_output: the two samples'
+        # activations are exact negatives and their factors equal, so the
+        # Gram products cancel exactly and ||g||^2 is exactly 0.
+        net = random_net((1, 3, 2, 1), 102)
+        xs = np.array([[1.0], [-1.0]])
+        with pytest.raises(DirectionError, match="cannot project along a zero gradient"):
+            gradient_curvatures(net, xs, 0.0, raw_output())
 
 
 class TestDirectionalCurvature:
@@ -735,16 +757,19 @@ class TestPeakMemory:
         assert peak < 1.5 * P * 8 + activations
         assert g.shape == (P,)
 
-    def test_gradient_curvatures_makes_no_unit_vector(self):
-        # u = g / ||g|| is divided out one layer block at a time (the largest
-        # is a quarter of P here), so no second P-sized array is made.
-        net = random_net((100,) * 5 + (1,), 134, "relu")
-        gen = RngStream(135, 0).generator()
-        xs = gen.standard_normal((8, 100))
-        ts = gen.integers(0, 2, 8) * 2.0 - 1.0
-        _, g = loss_and_gradient(net, xs, ts, squared_error())
-        _, peak = traced_peak(gradient_curvatures, net, xs, ts, squared_error(), g)
-        assert peak < g.nbytes
+    def test_initial_probe_holds_no_layer_block(self):
+        # The probe acts through g's (N, width) factors, so it holds the
+        # batch's activations, the factors and a Taylor pass's few layers:
+        # under a quarter of P here, where one 200 x 200 layer block alone
+        # is a quarter of P and the gradient is all of it.
+        arch = Architecture((200,) * 5 + (1,), "relu")
+        net = init_network(arch, "gaussian", RngStream(134, 0))
+        dataset = generate_dataset(8, 200, 135)
+        cfg = TrainConfig(arch, batch_size=8, epochs=0)
+        P = net.param_index.n_params
+        record, peak = traced_peak(initial_probe, net, dataset, cfg)
+        assert peak < P * 8 / 4
+        assert record.grad_norm_sq > 0.0
 
 
 class TestBoolMasks:
