@@ -54,7 +54,6 @@ from .experiment import (
     generate_dataset,
     initial_probe,
     lr_at_epoch,
-    load_dataset,
     save_dataset,
     sgd_train,
     width_sweep,

@@ -12,14 +12,14 @@ Hessian-vector product (hvp, output_hessian_vp) is one R-op, valid for
 identity and relu networks.  The exact routes run one forward pass each:
 given a weight direction, batch_forward carries the first two Taylor
 coefficients of every layer along it.  The R-op and the Gauss-Newton
-product ggn_vp read the Jacobian-vector products off that pass, and
-gradient_curvatures reads both parts of the curvature along the loss
-gradient off the output's two coefficients.  The forward pass takes the
-direction as its action v -> v D_l on each layer, so the Monte Carlo
-engine in theory runs it on stacks of networks too, and
-gradient_curvatures runs it along a gradient it never forms: a batch
-gradient's layer block is the product of two (N, width) factors, and its
-action is two thin products with them.
+product ggn_vp read the Jacobian-vector products off that pass, and the
+curvature probe reads both parts of the curvature along the loss gradient
+off the output's two coefficients.  The forward pass takes the direction
+as its action v -> v D_l on each layer, so the Monte Carlo engine in
+theory runs it on stacks of networks too, and the probe runs it along a
+batch gradient through the gradient's layer factors, two (N, width) arrays
+per layer, which loss_and_gradient returns beside the gradient and
+gradient_curvatures builds without it.
 The dense output Hessian is a closed form for linear networks that shares
 no kernel with the R-op; it covers a relu network on the linear piece its
 input lies in.  Its case-formula product with the gradient is for linear
@@ -200,12 +200,13 @@ def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
 
 
 def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarray,
-                       lane: Lane = INLINE) -> np.ndarray:
-    """Flat vector sum_s w_s * (gradient of output_s w.r.t. all weights).
+                       lane: Lane = INLINE) -> tuple[np.ndarray, list]:
+    """Flat vector g = sum_s w_s * (gradient of output_s w.r.t. all weights)
+    and its factors (Y_{k-1}, A_k = diag(w) a_k), as in loss_and_gradient.
 
-    Each layer's product is written straight into its slice of the result,
-    through the transpose of its unflattened block: (n_k, n_{k-1}) row-major.
-    The products go to the lane as the backward chain yields their a_k.
+    Each layer's product is written straight into its slice of g, through
+    the transpose of its unflattened block: (n_k, n_{k-1}) row-major.  The
+    products go to the lane as the backward chain yields their a_k.
     """
     out = np.empty(net.param_index.n_params)
     blocks = net.param_index.unflatten(out)
@@ -214,14 +215,14 @@ def _weighted_gradient(net: Network, trace: BatchTrace, sample_weights: np.ndarr
         lane.submit(_gradient_block, a_k, sample_weights, trace.activations[k - 1], blocks[k - 1])
         for k, a_k in chain
     ]
-    for p in reversed(products):  # the last ones are the likeliest still queued
-        p.result()
-    return out
+    # The last products are the likeliest still queued.
+    return out, [(y, p.result()) for y, p in zip(trace.activations, reversed(products))]
 
 
-def _gradient_block(a_k, sample_weights, y, block) -> None:
+def _gradient_block(a_k, sample_weights, y, block) -> np.ndarray:
     weighted = a_k * sample_weights[:, None]
     np.matmul(weighted.T, y, out=block.T)
+    return weighted
 
 
 def output_gradient(net: Network, x) -> np.ndarray:
@@ -234,19 +235,22 @@ def output_gradient(net: Network, x) -> np.ndarray:
     if xb.shape[0] != 1:
         raise DimensionError("output_gradient takes a single input")
     bt = batch_forward(net, xb)
-    return _weighted_gradient(net, bt, np.ones(1))
+    return _weighted_gradient(net, bt, np.ones(1))[0]
 
 
 def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction,
-                      lane: Lane = INLINE) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its gradient from a single forward pass; the
-    weight-gradient products run on lane."""
+                      lane: Lane = INLINE) -> tuple[float, np.ndarray, list]:
+    """Batch-mean loss, its gradient g and g's factors from a single forward
+    pass; the weight-gradient products run on lane.  factors[k - 1] is
+    (Y_{k-1}, A_k), both (N, width), with layer k's block Y_{k-1}^T A_k:
+    the layer's input activations and A_k = diag(c) a_k, the output
+    sensitivities times the slopes c = L'(y) / N."""
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     trace = batch_forward(net, x)
     value = float(np.mean(loss.value(trace.outputs, t)))
     slopes = loss.d1(trace.outputs, t) / x.shape[0]
-    return value, _weighted_gradient(net, trace, slopes, lane)
+    return value, *_weighted_gradient(net, trace, slopes, lane)
 
 
 def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
@@ -618,46 +622,58 @@ def gradient_curvatures(
     in two, without forming the gradient g.
 
     Returns (loss, g_sq, hess_proj, gn_proj, fun_proj).  One traced forward
-    pass and the backward chain seeded with the slopes c = L'(y) / N give
-    g's factors: layer k's block is G_k = Y_{k-1}^T A_k, Y_{k-1} the layer's
-    input activations and A_k the c-weighted sensitivities, both
-    (N, width), so its rank is at most N (Goodfellow, "Efficient
-    per-example gradient computations", 2015).  Then
-    ||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o (A_k A_k^T)), and u acts on a
-    layer as along(k, v) = ((v Y_k^T) A_{k+1}) / ||g||: thin products,
-    with no (n_{k-1}, n_k) block and no P-sized array.
-
-    A second forward pass, which holds only the layer it computes, carries
-    (z, z', z'') along u (univariate Taylor mode; Griewank & Walther,
-    Evaluating Derivatives, ch. 13) and gives the output's first and second
-    directional derivatives y' and y'' for every sample: the Gauss-Newton
-    part u.G u = mean L''(y) y'^2, the functional part u.H u =
-    mean L'(y) y'', and hess_proj is their sum, so the split holds exactly.  For relu networks it is the curvature of
-    the smooth piece the batch lies in, as for hvp.  A zero gradient raises
-    DirectionError.
+    pass and the ones-seeded backward chain give g's factors as
+    loss_and_gradient returns them, without the layer blocks, and
+    _gradient_probe measures the curvature through them, so this is the
+    probe sgd_train records at the same weights, bit for bit.  A zero
+    gradient raises DirectionError.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
     trace = batch_forward(net, x)
-    acts, y = trace.activations, trace.outputs
-    value = float(np.mean(loss.value(y, t)))
-    factors = _output_sensitivities(net.weights, (loss.d1(y, t) / x.shape[0])[:, None], trace.masks)
+    value = float(np.mean(loss.value(trace.outputs, t)))
+    slopes = (loss.d1(trace.outputs, t) / x.shape[0])[:, None]
+    chain = _sensitivity_chain(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
+    factors = [(trace.activations[k - 1], a_k * slopes) for k, a_k in chain][::-1]
+    probe = _gradient_probe(net, x, t, loss, factors)
+    if probe is None:
+        raise DirectionError("cannot project along a zero gradient")
+    return value, *probe
+
+
+def _gradient_probe(net: Network, x: np.ndarray, t: np.ndarray, loss: LossFunction,
+                    factors: list) -> tuple[float, float, float, float] | None:
+    """(g_sq, hess_proj, gn_proj, fun_proj) along u = g / ||g||, from the
+    factors (Y_{k-1}, A_k) of g's layer blocks G_k = Y_{k-1}^T A_k; None
+    when ||g||^2 is exactly 0.  Scales every A_k by 1 / ||g|| in place.
+
+    A block's rank is at most N (Goodfellow, "Efficient per-example gradient
+    computations", 2015), so ||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o
+    (A_k A_k^T)), and u acts on a layer as along(k, v) = (v Y_k^T) A_{k+1}
+    after the scaling: thin products, with no (n_{k-1}, n_k) block and no
+    P-sized array.  One forward pass, which holds only the layer it
+    computes, carries (z, z', z'') along u (univariate Taylor mode;
+    Griewank & Walther, Evaluating Derivatives, ch. 13) and gives the
+    output's first and second directional derivatives y' and y'' for every
+    sample: the Gauss-Newton part u.G u = mean L''(y) y'^2, the functional
+    part u.H u = mean L'(y) y'', and hess_proj is their sum, so the split
+    holds exactly.  For relu networks it is the curvature of the smooth
+    piece the batch lies in, as for hvp.
+    """
     # The Hadamard products are rounded before they are summed (no fused
     # multiply-add), so blocks that cancel exactly, as those of the samples
     # +x and -x do under raw_output, give exactly 0.
-    g_sq = sum(
-        float(np.sum((acts[k - 1] @ acts[k - 1].T) * (factors[k] @ factors[k].T)))
-        for k in range(1, net.depth + 1)
-    )
+    g_sq = sum(float(np.sum((y @ y.T) * (a @ a.T))) for y, a in factors)
     if g_sq == 0.0:
-        raise DirectionError("cannot project along a zero gradient")
+        return None
     norm = np.sqrt(g_sq)
-    for a_k in factors[1:]:
-        a_k /= norm  # now A_{k+1} / ||g||: u's factors
-    taylor = batch_forward(net, x, lambda k, v: (v @ acts[k].T) @ factors[k + 1], outputs_only=True)
+    for _, a in factors:
+        a /= norm
+    taylor = batch_forward(net, x, lambda k, v: (v @ factors[k][0].T) @ factors[k][1], outputs_only=True)
+    y = taylor.outputs
     gn_proj = float(np.mean(loss.d2(y, t) * taylor.output_dot**2))
     fun_proj = float(np.mean(loss.d1(y, t) * taylor.output_ddot))
-    return value, g_sq, gn_proj + fun_proj, gn_proj, fun_proj
+    return g_sq, gn_proj + fun_proj, gn_proj, fun_proj
 
 
 def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:
@@ -714,5 +730,5 @@ def ggn_vp(net: Network, inputs, targets, loss: LossFunction, v: np.ndarray) -> 
     t = _as_targets(targets, x.shape[0])
     trace = batch_forward(net, x, _dense_along(_direction_layers(net, v)))
     coeff = loss.d2(trace.outputs, t) * trace.output_dot / x.shape[0]
-    return _weighted_gradient(net, trace, coeff)
+    return _weighted_gradient(net, trace, coeff)[0]
 

@@ -6,8 +6,8 @@ recording at every step the loss, squared gradient norm, and the one-step
 curvature estimator, plus exact gradient-aligned curvature projections at a
 configurable probe cadence.  Probes never build dense matrices: one
 second-order Taylor pass along the gradient, which acts through the
-gradient's per-layer factors, gives the Gauss-Newton and the functional
-part of the curvature directly, and the total as their sum.
+per-layer factors of the step's own gradient, gives the Gauss-Newton and
+the functional part of the curvature directly, and the total as their sum.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import numpy as np
 from .curvature import CurvatureRecord, estimate_curvature
 from .diff import (
     LossFunction,
+    _gradient_probe,
     batch_loss,
     gradient_curvatures,
     loss_and_gradient,
@@ -29,7 +30,7 @@ from .errors import DimensionError, DirectionError, DivergenceError
 from .network import RELU, Architecture, Network, init_network
 from .parallel import INLINE, Lane, map_trial_ranges
 from .rng import GAUSSIAN, RngStream
-from .tables import read_csv, write_csv
+from .tables import write_csv
 
 # Unused here, but bench/spans.py wraps these names in this module.
 from .curvature import curvature_projection  # noqa: F401
@@ -100,31 +101,6 @@ def save_dataset(ds: Dataset, path, lane: Lane = INLINE) -> None:
     write_csv(path, "curvkit.dataset.v1", header, np.column_stack([ds.targets, ds.inputs]), lane)
 
 
-def load_dataset(path, seed: int = -1) -> Dataset:
-    """Read a dataset written by save_dataset.
-
-    A row whose cell count differs from the header's, a non-numeric cell
-    or a file with no data rows raises DimensionError naming the file and
-    the data row (1 is the first row after the header).
-    """
-    schema, header, rows = read_csv(path)
-    if schema != "curvkit.dataset.v1":
-        raise DimensionError(f"{path}: unexpected schema {schema!r}")
-    if not rows:
-        raise DimensionError(f"{path}: row 1: the file ends after its header")
-    data = np.empty((len(rows), len(header)))
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DimensionError(
-                f"{path}: row {r + 1} has {len(row)} values, expected {len(header)}"
-            )
-        try:
-            data[r] = [float(v) for v in row]
-        except ValueError as exc:
-            raise DimensionError(f"{path}: row {r + 1}: {exc}") from exc
-    return Dataset(np.ascontiguousarray(data[:, 1:]), data[:, 0].copy(), seed)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Vanilla-SGD run description."""
@@ -191,7 +167,8 @@ def initial_probe(net: Network, dataset: Dataset, cfg: TrainConfig) -> Curvature
 
     One gradient_curvatures call gives the loss, ||g||^2 and the curvature
     split from the gradient's per-layer factors, so the probe holds the
-    weights plus O(batch x sum of widths) floats, never a P-sized gradient.
+    weights plus O(batch x sum of widths) floats, never a P-sized gradient,
+    and the split is the first training record's, bit for bit.
     """
     perm = RngStream(cfg.data_seed, 1).generator().permutation(dataset.n_samples)
     idx = perm[: min(cfg.batch_size, dataset.n_samples)]
@@ -220,8 +197,10 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
     Minibatches are sequential slices of a fresh per-epoch shuffle derived
     from the data seed.  The estimator compares the batch loss before and
     after the step on the same minibatch, which is the quantity the one-step
-    expansion describes; at probe steps the exact projections are measured
-    at the pre-step weights.  Raises DivergenceError if the loss exceeds
+    expansion describes.  At probe steps the exact projections are measured
+    at the pre-step weights from the factors of the step's own gradient, by
+    initial_probe's kernel; a zero factored ||g||^2 leaves a step unprobed.
+    Raises DivergenceError if the loss exceeds
     divergence_ratio times its initial value or is not finite.  Appends each
     record and finished epoch's mean loss to log (new if None) and returns
     it, so a log the caller passes keeps what was recorded before any raise.
@@ -284,18 +263,19 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
         for b in range(steps_per_epoch):
             idx = perm[b * bs : min((b + 1) * bs, n)]
             x, t = dataset.inputs[idx], dataset.targets[idx]
-            loss_before, g = loss_and_gradient(net, x, t, cfg.loss, lane)
+            loss_before, g, factors = loss_and_gradient(net, x, t, cfg.loss, lane)
             if initial_loss is None:
                 initial_loss = loss_before
             if pending is not None:
                 record(*pending)
             g_sq = float(g @ g)
-            probed = step % probe_every == 0
-            if probed and g_sq > 0.0:
-                hess, gn, fun = gradient_curvatures(net, x, t, cfg.loss)[2:]
-                curvatures = (hess, gn, fun, 0.5 * hess * g_sq)
-            else:
+            probe = _gradient_probe(net, x, t, cfg.loss, factors) if step % probe_every == 0 else None
+            del factors
+            if probe is None:  # unprobed, or a zero gradient
                 curvatures = (None,) * 4
+            else:
+                hess, gn, fun = probe[1:]
+                curvatures = (hess, gn, fun, 0.5 * hess * g_sq)
             _descend(list(zip(net.weights, index.unflatten(g))), lr, lane)
             del g  # not alive while the next step's gradient is built
             post_step = lane.submit(batch_loss, net, x, t, cfg.loss)

@@ -132,9 +132,6 @@ class Network:
     def param_vector(self) -> np.ndarray:
         return self.param_index.flatten(self.weights)
 
-    def with_params(self, vec: np.ndarray) -> "Network":
-        return Network(self.arch, [w.copy() for w in self.param_index.unflatten(vec)])
-
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(w)) for w in self.weights)
 

@@ -822,7 +822,7 @@ class TestStops:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
         capsys.readouterr()
         probes = []
-        real_probe = curvkit.experiment.gradient_curvatures
+        real_probe = curvkit.experiment._gradient_probe
 
         def probe_then_ctrl_c(*args):
             probes.append(args)
@@ -830,7 +830,7 @@ class TestStops:
                 raise KeyboardInterrupt  # as Python's own SIGINT handler raises it
             return real_probe(*args)
 
-        monkeypatch.setattr(curvkit.experiment, "gradient_curvatures", probe_then_ctrl_c)
+        monkeypatch.setattr(curvkit.experiment, "_gradient_probe", probe_then_ctrl_c)
         handler = signal.getsignal(signal.SIGTERM)
         out = tmp_path / "out"
         try:

@@ -20,7 +20,7 @@ from curvkit import (
     psd_check,
     squared_error,
 )
-from test_diff import relu_net_off_kinks
+from test_diff import moved, relu_net_off_kinks
 
 
 def chain(weights, activation="identity"):
@@ -192,7 +192,7 @@ class TestEstimator:
         exact_half = 0.5 * float(g @ hvp(net, xs, ts, loss, g))
         errors = []
         for lr in (1e-2, 5e-3, 2.5e-3):
-            stepped = net.with_params(net.param_vector() - lr * g)
+            stepped = moved(net, net.param_vector() - lr * g)
             after = batch_loss(stepped, xs, ts, loss)
             est = estimate_curvature(base, after, g_sq, lr)
             errors.append(abs(est - exact_half))

@@ -48,6 +48,11 @@ def random_net(widths, seed, activation="identity"):
     return init_network(Architecture(widths, activation), "gaussian", RngStream(seed, 0))
 
 
+def moved(net, vec):
+    """A copy of net with the flat weight vector vec."""
+    return Network(net.arch, [w.copy() for w in net.param_index.unflatten(vec)])
+
+
 def fd_gradient(f, w0, step=1e-5):
     """Central-difference gradient oracle, independent of the backward pass."""
     grad = np.empty_like(w0)
@@ -120,7 +125,7 @@ class TestOutputGradient:
             g = output_gradient(net, x)
 
             def f(w):
-                return float(batch_loss(net.with_params(w), x, 0.0, raw_output()))
+                return float(batch_loss(moved(net, w), x, 0.0, raw_output()))
 
             ref = fd_gradient(f, net.param_vector())
             assert np.linalg.norm(g - ref) <= 1e-6 * max(np.linalg.norm(ref), 1e-12)
@@ -157,7 +162,7 @@ class TestLossGradient:
             g = loss_and_gradient(net, xs, ts, squared_error())[1]
 
             def f(w):
-                return batch_loss(net.with_params(w), xs, ts, squared_error())
+                return batch_loss(moved(net, w), xs, ts, squared_error())
 
             ref = fd_gradient(f, net.param_vector())
             assert np.linalg.norm(g - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -165,12 +170,30 @@ class TestLossGradient:
     def test_loss_and_gradient_agree_with_parts(self):
         net = random_net((3, 3, 1), 32)
         xs = RngStream(33, 0).generator().standard_normal((4, 3))
-        value, g = loss_and_gradient(net, xs, 1.0, squared_error())
+        value, g, _ = loss_and_gradient(net, xs, 1.0, squared_error())
         assert value == pytest.approx(batch_loss(net, xs, 1.0, squared_error()), rel=0)
         # The mean of the per-sample output gradients, each times its loss slope.
         slopes = squared_error().d1(batch_forward(net, xs).outputs, 1.0)
         parts = slopes @ per_sample_output_gradients(net, xs) / len(xs)
         assert np.allclose(g, parts, rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_factors_rebuild_gradient_blocks(self, activation):
+        # More samples than any layer has units, as in a training batch.
+        net = random_net((4, 5, 3, 1), 34, activation)
+        gen = RngStream(35, 0).generator()
+        xs = gen.standard_normal((7, 4))
+        ts = gen.integers(0, 2, 7) * 2.0 - 1.0
+        _, g, factors = loss_and_gradient(net, xs, ts, squared_error())
+        blocks = net.param_index.unflatten(g)
+        assert len(factors) == len(blocks) == net.depth
+        slopes = squared_error().d1(batch_forward(net, xs).outputs, ts) / len(xs)
+        for k, ((y, a), block) in enumerate(zip(factors, blocks)):
+            assert y.shape == (7, net.arch.widths[k])
+            assert a.shape == (7, net.arch.widths[k + 1])
+            assert np.allclose(y.T @ a, block, rtol=1e-13, atol=1e-16)
+        # The output layer's sensitivity is 1, so its A is the slopes alone.
+        assert np.array_equal(factors[-1][1][:, 0], slopes)
 
 
 class TestOutputHessianDense:
@@ -500,7 +523,7 @@ class TestFdStencilValues:
             w = net.param_vector()
             w[a[r]] += sa[r] * h[a[r]]
             w[b[r]] += sb[r] * h[b[r]]
-            want[r] = batch_loss(net.with_params(w), xs, ts, squared_error())
+            want[r] = batch_loss(moved(net, w), xs, ts, squared_error())
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         # Among them every kind of point: the unmoved net, the diagonal +-,
         # two moves into one unit (in the output layer, where every weight
@@ -613,7 +636,7 @@ class TestGradientCurvatures:
 
     @staticmethod
     def assert_matches_products(net, xs, ts, loss):
-        value_ref, g = loss_and_gradient(net, xs, ts, loss)
+        value_ref, g, _ = loss_and_gradient(net, xs, ts, loss)
         hess_ref = curvature_projection(lambda v: hvp(net, xs, ts, loss, v), g)
         gn_ref = curvature_projection(lambda v: ggn_vp(net, xs, ts, loss, v), g)
         value, g_sq, hess, gn, fun = gradient_curvatures(net, xs, ts, loss)
@@ -753,7 +776,7 @@ class TestPeakMemory:
         ts = gen.integers(0, 2, 8) * 2.0 - 1.0
         P = net.param_index.n_params
         activations = xs.shape[0] * sum(net.arch.widths) * 8
-        (_, g), peak = traced_peak(loss_and_gradient, net, xs, ts, squared_error())
+        (_, g, _), peak = traced_peak(loss_and_gradient, net, xs, ts, squared_error())
         assert peak < 1.5 * P * 8 + activations
         assert g.shape == (P,)
 

@@ -6,11 +6,13 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
+import curvkit.diff
 import curvkit.experiment
 import curvkit.floattext
 import curvkit.parallel
 from curvkit import (
     Architecture,
+    Dataset,
     DimensionError,
     DivergenceError,
     RngStream,
@@ -20,8 +22,8 @@ from curvkit import (
     half_squared_error,
     init_network,
     initial_probe,
-    load_dataset,
     lr_at_epoch,
+    raw_output,
     save_dataset,
     save_network,
     sgd_train,
@@ -73,40 +75,16 @@ class TestDataset:
         ds = generate_dataset(20, 5, 4)
         path = tmp_path / "data.csv"
         save_dataset(ds, path)
-        loaded = load_dataset(path, seed=4)
-        assert np.array_equal(ds.inputs, loaded.inputs)
-        assert np.array_equal(ds.targets, loaded.targets)
+        schema, header, cells = read_csv(path)
+        assert schema == "curvkit.dataset.v1"
+        assert header == ["target"] + [f"x{j}" for j in range(5)]
+        loaded = np.array([[float(c) for c in row] for row in cells])
+        assert loaded[:, 1:].tobytes() == ds.inputs.tobytes()
+        assert loaded[:, 0].tobytes() == ds.targets.tobytes()
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):
             generate_dataset(0, 4, 1)
-
-    @staticmethod
-    def dataset_file(tmp_path, *rows):
-        path = tmp_path / "data.csv"
-        path.write_text("# schema=curvkit.dataset.v1\ntarget,x0,x1\n" + "".join(r + "\n" for r in rows))
-        return path
-
-    def test_ragged_row_names_file_and_row(self, tmp_path):
-        path = self.dataset_file(tmp_path, "1.0,0.6,0.8", "-1.0,0.8")
-        with pytest.raises(DimensionError, match=r"data\.csv: row 2 has 2 values, expected 3"):
-            load_dataset(path)
-
-    def test_non_numeric_cell_names_file_and_row(self, tmp_path):
-        path = self.dataset_file(tmp_path, "1.0,0.6,0.8", "-1.0,0.8,abc")
-        with pytest.raises(DimensionError, match=r"data\.csv: row 2: could not convert string to float: 'abc'"):
-            load_dataset(path)
-
-    def test_no_data_rows_names_file(self, tmp_path):
-        path = self.dataset_file(tmp_path)
-        with pytest.raises(DimensionError, match=r"data\.csv: row 1: the file ends after its header"):
-            load_dataset(path)
-
-    def test_row_longer_than_header_rejected(self, tmp_path):
-        # Every row agrees with every other, but not with the header.
-        path = self.dataset_file(tmp_path, "1.0,0.6,0.8,0.0", "-1.0,0.8,0.6,0.0")
-        with pytest.raises(DimensionError, match=r"data\.csv: row 1 has 4 values, expected 3"):
-            load_dataset(path)
 
 
 class TestSchedule:
@@ -177,6 +155,32 @@ class TestSgdTrain:
                 0.5 * r.hessian_proj * r.grad_norm_sq, rel=1e-12
             )
 
+    def test_zero_gradient_step_is_recorded_unprobed(self):
+        # Width-1 inputs +1 and -1 under raw_output: the factored ||g||^2 is
+        # exactly 0, while the dense g @ g is a rounding residue above 0.
+        net = init_network(Architecture((1, 3, 2, 1)), "gaussian", RngStream(102, 0))
+        dataset = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), 0)
+        cfg = TrainConfig(net.arch, loss=raw_output(), batch_size=2, epochs=1)
+        log = sgd_train(net, dataset, cfg)
+        assert len(log.records) == 1
+        assert log.records[0].hessian_proj is None
+        assert log.records[0].exact_half_quadform is None
+
+    def test_one_gradient_pass_per_step(self, monkeypatch):
+        # Every step probed: the gradient's forward pass, the Taylor pass
+        # along its factors and the post-step loss pass.
+        calls = []
+        real_forward = curvkit.diff.batch_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(curvkit.diff, "batch_forward", counted)
+        _, _, log = fresh_run(small_config(probe_every=1))
+        assert len(log.probed()) == len(log.records) == 9
+        assert len(calls) == 3 * len(log.records)
+
     def test_divergence_guard(self):
         cfg = small_config(learning_rate=1e4, epochs=4, divergence_ratio=10.0)
         log = RunLog()
@@ -228,8 +232,15 @@ class TestSgdTrain:
 
 
 class TestInitialProbe:
-    def test_matches_first_training_record(self):
-        cfg = small_config(epochs=1)
+    # One kernel measures both: bit for bit the same numbers.  The relu
+    # batches hold more samples than a layer has units, the identity one fewer.
+    @pytest.mark.parametrize("arch, batch_size", [
+        (Architecture((6, 6, 6, 1), "relu"), 8),
+        (Architecture((4, 5, 3, 1), "relu"), 20),
+        (Architecture((12, 12, 12, 1)), 8),
+    ])
+    def test_matches_first_training_record(self, arch, batch_size):
+        cfg = small_config(architecture=arch, batch_size=batch_size, epochs=1)
         dataset = generate_dataset(24, cfg.architecture.widths[0], cfg.data_seed)
         net = init_network(cfg.architecture, cfg.distribution, RngStream(cfg.init_seed, 0),
                            rectifier_gain=cfg.effective_init_gain)
@@ -239,6 +250,7 @@ class TestInitialProbe:
         assert probe.loss == first.loss
         assert probe.hessian_proj == first.hessian_proj
         assert probe.gauss_newton_proj == first.gauss_newton_proj
+        assert probe.functional_proj == first.functional_proj
 
 
 class TestWidthSweep:
