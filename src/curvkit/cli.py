@@ -272,7 +272,7 @@ def _relative(num: float, den: float) -> float:
 
 
 def _hessian_is_rounding(net: Network, inputs: np.ndarray, targets: np.ndarray,
-                         loss: LossFunction, dec) -> bool:
+                         loss: LossFunction, gauss_newton: np.ndarray, hessian: np.ndarray) -> bool:
     """Whether the dense loss Hessian is no larger than the rounding of the
     sum that forms it: n terms, so at most n eps times their norms.
 
@@ -283,8 +283,17 @@ def _hessian_is_rounding(net: Network, inputs: np.ndarray, targets: np.ndarray,
     n = inputs.shape[0]
     slopes = loss.d1(batch_forward(net, inputs).outputs, targets)
     terms = sum(abs(s) * np.linalg.norm(output_hessian(net, x)) for s, x in zip(slopes, inputs))
-    scale = np.linalg.norm(dec.gauss_newton) + terms / n
-    return bool(np.linalg.norm(dec.hessian) <= n * np.finfo(np.float64).eps * scale)
+    scale = np.linalg.norm(gauss_newton) + terms / n
+    return bool(np.linalg.norm(hessian) <= n * np.finfo(np.float64).eps * scale)
+
+
+def _fd_relative(fd: np.ndarray, exact: np.ndarray) -> float:
+    """||exact - fd|| / ||fd||, subtracting exact from fd in place after its
+    norm is taken: fd - exact is exactly -(exact - fd), so the norm is the
+    same to the bit, and no difference matrix is made."""
+    scale = np.linalg.norm(fd)
+    fd -= exact
+    return _relative(np.linalg.norm(fd), scale)
 
 
 def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: LossFunction,
@@ -296,8 +305,15 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
     batch.  The matrix-free rows draw their 50 directions from gen.  A row
     passes when its value is at most its tolerance, so NaN fails.  A batch
     whose loss Hessian is zero (see _hessian_is_rounding) is refused with
-    ConfigError: each loss row is a relative error, and it would compare
-    rounding with zero.
+    ConfigError, before any FD work: each loss row is a relative error, and
+    it would compare rounding with zero.
+
+    Each dense matrix lives only while the rows that read it are computed:
+    the decomposition's Hessian through the loss FD row and the matrix-free
+    rows, its Gauss-Newton part through the PSD row, and the output Hessian
+    through its own three rows last.  So at most three P x P matrices are
+    held at once, besides the FD oracle's fixed chunk buffers; the rows are
+    returned in their fixed order all the same.
     """
     checks: list[dict] = []
 
@@ -314,44 +330,49 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
 
     with np.errstate(all="ignore"):
         dec = decompose(net, inputs, targets, loss)
-        if _hessian_is_rounding(net, inputs, targets, loss, dec):
+        gauss_newton, hessian = dec.gauss_newton, dec.hessian
+        del dec  # no row reads the functional part
+        if _hessian_is_rounding(net, inputs, targets, loss, gauss_newton, hessian):
             raise ConfigError(
                 "the loss Hessian on this batch is zero (to rounding): "
                 "no relative error of the loss rows is defined"
             )
-        x0 = inputs[0]
-        dense = output_hessian(net, x0)
-        dense_norm = np.linalg.norm(dense)
-        add("output-hessian-symmetry", _relative(np.linalg.norm(dense - dense.T), dense_norm), 1e-10)
-
-        fd_raw = fd_hessian(net, x0, 0.0, raw_output())
-        add("output-hessian-vs-fd", _relative(np.linalg.norm(dense - fd_raw), np.linalg.norm(fd_raw)), 1e-5)
-
-        g = output_gradient(net, x0)
-        reference = dense @ g
-        cases = output_hessian_grad_product(net, x0)
-        add("case-product-vs-dense", _relative(np.linalg.norm(cases - reference), np.linalg.norm(reference)), 1e-10)
-
-        fd_loss = fd_hessian(net, inputs, targets, loss)
-        add("decomposition-vs-fd", _relative(np.linalg.norm(dec.hessian - fd_loss), np.linalg.norm(fd_loss)), 1e-4)
-
-        try:
-            report = psd_check(dec.gauss_newton)
-            add("gauss-newton-psd", -report.min_eigenvalue, -report.threshold)
-        except CurvkitError:
-            add("gauss-newton-psd", float("nan"), 0.0)
+        decomposition_vs_fd = _fd_relative(fd_hessian(net, inputs, targets, loss), hessian)
 
         worst_h = worst_g = 0.0
         for _ in range(50):
             v = gen.standard_normal(net.param_index.n_params)
             hv = hvp(net, inputs, targets, loss, v)
-            ref_h = dec.hessian @ v
+            ref_h = hessian @ v
             worst_h = max(worst_h, _relative(np.linalg.norm(hv - ref_h), np.linalg.norm(ref_h)))
             gv = ggn_vp(net, inputs, targets, loss, v)
-            ref_g = dec.gauss_newton @ v
+            ref_g = gauss_newton @ v
             worst_g = max(worst_g, _relative(np.linalg.norm(gv - ref_g), np.linalg.norm(ref_g)))
+        del hessian
+
+        try:
+            report = psd_check(gauss_newton)
+            psd = (-report.min_eigenvalue, -report.threshold)
+        except CurvkitError:
+            psd = (float("nan"), 0.0)
+        del gauss_newton
+
+        x0 = inputs[0]
+        dense = output_hessian(net, x0)
+        dense_norm = np.linalg.norm(dense)
+        symmetry = _relative(np.linalg.norm(dense - dense.T), dense_norm)
+        vs_fd = _fd_relative(fd_hessian(net, x0, 0.0, raw_output()), dense)
+        reference = dense @ output_gradient(net, x0)
+        del dense
+        cases = output_hessian_grad_product(net, x0)
         if np.isnan(dense_norm):
             worst_h = worst_g = float("nan")
+
+        add("output-hessian-symmetry", symmetry, 1e-10)
+        add("output-hessian-vs-fd", vs_fd, 1e-5)
+        add("case-product-vs-dense", _relative(np.linalg.norm(cases - reference), np.linalg.norm(reference)), 1e-10)
+        add("decomposition-vs-fd", decomposition_vs_fd, 1e-4)
+        add("gauss-newton-psd", *psd)
         add("hvp-vs-dense", worst_h, 1e-10)
         add("ggn-vs-dense", worst_g, 1e-10)
 

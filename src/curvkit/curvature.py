@@ -68,7 +68,10 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     The Gauss-Newton part is the mean of L''(y_s) g_s g_s^T over the
     per-sample output gradients g_s, and the functional part the mean of
     L'(y_s) times the closed-form output Hessian at x_s; for a relu network
-    that is the Hessian of the linear piece each input lies in.
+    that is the Hessian of the linear piece each input lies in.  Each
+    sample's output Hessian is scaled in place before it is added, so the
+    peak is the three returned P x P matrices, or the two parts and one
+    output Hessian while they are summed.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
@@ -84,7 +87,10 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     slopes = loss.d1(outputs, t)
     functional = np.zeros_like(gauss_newton)
     for s in range(n):
-        functional += slopes[s] * output_hessian(net, x[s])
+        term = output_hessian(net, x[s])
+        term *= slopes[s]  # the product slopes[s] * term, in place
+        functional += term
+        del term  # before the next sample's is built
     functional /= n
     return HessianDecomposition(gauss_newton, functional, gauss_newton + functional)
 

@@ -280,7 +280,8 @@ def output_hessian(net: Network, x) -> np.ndarray:
     masked weights W_k diag(m_k), m_k the hidden layers' relu masks and
     m_L = 1.  The masking is linear in the weights, so the relu Hessian is
     D H_lin D, where D holds for every weight the mask of the unit it
-    feeds: the Hessian of the linear piece x lies in.
+    feeds: the Hessian of the linear piece x lies in.  D scales H_lin in
+    place, so either route holds one P x P matrix and a block of it.
     """
     index = net.param_index
     if index.n_params > DENSE_CAP:
@@ -292,7 +293,10 @@ def output_hessian(net: Network, x) -> np.ndarray:
         masks = [*trace.masks, np.ones(1)]
         linear = Network(Architecture(net.arch.widths), [w * m for w, m in zip(net.weights, masks)])
         d = index.flatten([np.broadcast_to(m, w.shape) for w, m in zip(net.weights, masks)])
-        return d[:, None] * output_hessian(linear, x) * d
+        hess = output_hessian(linear, x)
+        hess *= d[:, None]  # the products of d[:, None] * hess * d, in place
+        hess *= d
+        return hess
     y = trace.activations
     depth = net.depth
     P = index.n_params
@@ -649,9 +653,9 @@ def _gradient_probe(net: Network, x: np.ndarray, t: np.ndarray, loss: LossFuncti
 
     A block's rank is at most N (Goodfellow, "Efficient per-example gradient
     computations", 2015), so ||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o
-    (A_k A_k^T)), and u acts on a layer as along(k, v) = (v Y_k^T) A_{k+1}
-    after the scaling: thin products, with no (n_{k-1}, n_k) block and no
-    P-sized array.  One forward pass, which holds only the layer it
+    (A_k A_k^T)), and after the scaling u acts on a layer through its
+    factors (see _factored_along): no P-sized array, and no layer block
+    larger than its factors.  One forward pass, which holds only the layer it
     computes, carries (z, z', z'') along u (univariate Taylor mode;
     Griewank & Walther, Evaluating Derivatives, ch. 13) and gives the
     output's first and second directional derivatives y' and y'' for every
@@ -669,11 +673,37 @@ def _gradient_probe(net: Network, x: np.ndarray, t: np.ndarray, loss: LossFuncti
     norm = np.sqrt(g_sq)
     for _, a in factors:
         a /= norm
-    taylor = batch_forward(net, x, lambda k, v: (v @ factors[k][0].T) @ factors[k][1], outputs_only=True)
+    taylor = batch_forward(net, x, _factored_along(factors), outputs_only=True)
     y = taylor.outputs
     gn_proj = float(np.mean(loss.d2(y, t) * taylor.output_dot**2))
     fun_proj = float(np.mean(loss.d1(y, t) * taylor.output_ddot))
     return g_sq, gn_proj + fun_proj, gn_proj, fun_proj
+
+
+def _factored_along(factors: list):
+    """The action along(k, v) = v G_{k+1} of a direction held as its layer
+    factors G_{k+1} = Y_k^T A_{k+1}, each (N, width).
+
+    The Taylor pass applies it twice per layer.  Thin products (v Y_k^T)
+    A_{k+1} cost 2 N^2 (n_k + n_{k+1}) flops for both; the block, formed
+    once and applied twice, costs 3 N n_k n_{k+1}.  Each layer takes the
+    cheaper order, which depends on shapes only, so a block is formed only
+    where it is smaller than its factors: always on the output layer, and on
+    hidden layers narrower than about 4/3 N.
+    """
+    n = factors[0][0].shape[0]
+    blocks = [
+        y.T @ a if 3 * y.shape[1] * a.shape[1] < 2 * n * (y.shape[1] + a.shape[1]) else None
+        for y, a in factors
+    ]
+
+    def along(k: int, v: np.ndarray) -> np.ndarray:
+        if blocks[k] is not None:
+            return v @ blocks[k]
+        y, a = factors[k]
+        return (v @ y.T) @ a
+
+    return along
 
 
 def _hessian_vp(net: Network, x: np.ndarray, t, loss: LossFunction, v) -> np.ndarray:

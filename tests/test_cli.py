@@ -33,6 +33,7 @@ from curvkit import cli
 from curvkit.cli import THEORY_SUBCOMMANDS, default_config, load_config
 from curvkit.rng import AUX_STREAM
 from curvkit.tables import read_csv
+from test_diff import traced_peak
 
 
 def run_cli(*args, cwd):
@@ -182,6 +183,34 @@ class TestCheck:
         hess_proj, gn_proj = gradient_curvatures(net, xs, ts, loss)[2:4]
         for probe, part in ((hess_proj, dec.hessian), (gn_proj, dec.gauss_newton)):
             assert abs(probe - u @ part @ u) <= 1e-10 * np.linalg.norm(part)
+
+    def test_zero_loss_hessian_is_refused_before_fd_work(self, monkeypatch):
+        # The all-zero batch of TestExitCodes: the refusal must come before
+        # either FD oracle runs.
+        def no_fd(*args):
+            raise AssertionError("fd_hessian ran before the refusal")
+
+        monkeypatch.setattr(cli, "fd_hessian", no_fd)
+        widths = (3, 3, 3, 1)
+        net = Network(Architecture(widths), [np.zeros(shape) for shape in zip(widths, widths[1:])])
+        gen = RngStream(0, AUX_STREAM).generator()
+        xs = gen.standard_normal((4, 3))
+        ts = gen.integers(0, 2, 4) * 2.0 - 1.0
+        with pytest.raises(ConfigError, match="loss Hessian on this batch is zero"):
+            cli.run_checks(net, xs, ts, squared_error(), gen)
+
+    def test_holds_three_dense_matrices(self):
+        # P = 990.  Each dense matrix is dropped once its rows are computed,
+        # so no more than three are held at once, beside the FD chunks.
+        net = init_network(Architecture((18, 18, 18, 18, 1)), "gaussian", RngStream(5, 0))
+        gen = RngStream(6, AUX_STREAM).generator()
+        xs = gen.standard_normal((4, 18))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        ts = gen.integers(0, 2, 4) * 2.0 - 1.0
+        P = net.param_index.n_params
+        rows, peak = traced_peak(cli.run_checks, net, xs, ts, squared_error(), gen)
+        assert peak < 3.5 * P * P * 8
+        assert [r["name"] for r in rows if not r["passed"]] == []
 
 
 class TestTheory:

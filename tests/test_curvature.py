@@ -20,7 +20,7 @@ from curvkit import (
     psd_check,
     squared_error,
 )
-from test_diff import moved, relu_net_off_kinks
+from test_diff import moved, relu_net_off_kinks, traced_peak
 
 
 def chain(weights, activation="identity"):
@@ -88,6 +88,23 @@ class TestDecompose:
         columns = np.column_stack([hvp(net, xs, ts, squared_error(), e) for e in eye])
         assert np.linalg.norm(dec.hessian - columns) <= 1e-12 * np.linalg.norm(columns)
         assert np.linalg.norm(dec.functional) > 0.1 * np.linalg.norm(dec.hessian)
+
+
+class TestDecomposePeakMemory:
+    """decompose holds its three parts, or two and one sample's term."""
+
+    @pytest.mark.parametrize("activation", ["identity", "relu"])
+    def test_holds_three_dense_matrices(self, activation):
+        # P = 990: each sample's output Hessian is scaled in place, so no
+        # fourth P x P matrix joins the two parts and the term.
+        net = random_net((18, 18, 18, 18, 1), 90, activation)
+        gen = RngStream(91, 0).generator()
+        xs = gen.standard_normal((4, 18))
+        ts = gen.integers(0, 2, 4) * 2.0 - 1.0
+        P = net.param_index.n_params
+        dec, peak = traced_peak(decompose, net, xs, ts, squared_error())
+        assert peak < 3.5 * P * P * 8
+        assert np.array_equal(dec.gauss_newton + dec.functional, dec.hessian)
 
 
 class TestProjection:

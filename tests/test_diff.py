@@ -239,6 +239,18 @@ class TestOutputHessianDense:
         ref = fd_hessian(net, x, 0.0, raw_output())
         assert np.linalg.norm(dense - ref) <= 1e-5 * np.linalg.norm(ref)
 
+    def test_relu_masks_scale_in_place_to_the_bit(self):
+        # Scaling H_lin by the masks in place performs the products of
+        # d[:, None] * H_lin * d, so the result keeps their bits.
+        net = random_net((4, 6, 5, 3, 1), 46, "relu")
+        x = RngStream(47, 0).generator().standard_normal(4)
+        masks = [*curvkit.network.forward(net, x).masks, np.ones(1)]
+        linear = Network(Architecture(net.arch.widths), [w * m for w, m in zip(net.weights, masks)])
+        d = net.param_index.flatten([np.broadcast_to(m, w.shape) for w, m in zip(net.weights, masks)])
+        assert 0.0 < d.sum() < d.size  # some units are dead, some alive
+        want = d[:, None] * output_hessian(linear, x) * d
+        assert output_hessian(net, x).tobytes() == want.tobytes()
+
     def test_capacity_cap(self):
         net = random_net((150, 140, 1), 43)
         assert net.param_index.n_params > DENSE_CAP
@@ -793,6 +805,16 @@ class TestPeakMemory:
         record, peak = traced_peak(initial_probe, net, dataset, cfg)
         assert peak < P * 8 / 4
         assert record.grad_norm_sq > 0.0
+
+    def test_relu_output_hessian_holds_one_matrix(self):
+        # The masks scale the linear piece's Hessian in place: one P x P
+        # matrix and a layer-pair block, P = 990.
+        net = random_net((18, 18, 18, 18, 1), 138, "relu")
+        x = RngStream(139, 0).generator().standard_normal(18)
+        P = net.param_index.n_params
+        hess, peak = traced_peak(output_hessian, net, x)
+        assert peak < 1.5 * P * P * 8
+        assert hess.shape == (P, P)
 
 
 class TestBoolMasks:
