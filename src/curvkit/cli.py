@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curvature import decompose, estimate_curvature, psd_check
+from .curvature import HessianDecomposition, decompose, estimate_curvature, psd_check
 from .diff import (
     LossFunction,
     fd_hessian,
@@ -64,7 +64,6 @@ from .network import (
     RELU,
     Architecture,
     Network,
-    batch_forward,
     init_network,
     load_network,
     save_network,
@@ -271,20 +270,17 @@ def _relative(num: float, den: float) -> float:
     return num / max(den, 1e-300)
 
 
-def _hessian_is_rounding(net: Network, inputs: np.ndarray, targets: np.ndarray,
-                         loss: LossFunction, gauss_newton: np.ndarray, hessian: np.ndarray) -> bool:
-    """Whether the dense loss Hessian is no larger than the rounding of the
-    sum that forms it: n terms, so at most n eps times their norms.
+def _hessian_is_rounding(dec: HessianDecomposition, n: int) -> bool:
+    """Whether the dense loss Hessian of n samples is no larger than the
+    rounding of the sum that forms it: n terms, so at most n eps times
+    their norms.
 
     That is the case where the loss Hessian is zero: exactly zero, or a
     cancellation (e.g. width-1 inputs +-1 under raw_output, whose output
     Hessians are +-H(1)) that leaves only a few ulps of its terms.
     """
-    n = inputs.shape[0]
-    slopes = loss.d1(batch_forward(net, inputs).outputs, targets)
-    terms = sum(abs(s) * np.linalg.norm(output_hessian(net, x)) for s, x in zip(slopes, inputs))
-    scale = np.linalg.norm(gauss_newton) + terms / n
-    return bool(np.linalg.norm(hessian) <= n * np.finfo(np.float64).eps * scale)
+    scale = np.linalg.norm(dec.gauss_newton) + dec.term_norm_sum / n
+    return bool(np.linalg.norm(dec.hessian) <= n * np.finfo(np.float64).eps * scale)
 
 
 def _fd_relative(fd: np.ndarray, exact: np.ndarray) -> float:
@@ -330,13 +326,13 @@ def run_checks(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: Loss
 
     with np.errstate(all="ignore"):
         dec = decompose(net, inputs, targets, loss)
-        gauss_newton, hessian = dec.gauss_newton, dec.hessian
-        del dec  # no row reads the functional part
-        if _hessian_is_rounding(net, inputs, targets, loss, gauss_newton, hessian):
+        if _hessian_is_rounding(dec, inputs.shape[0]):
             raise ConfigError(
                 "the loss Hessian on this batch is zero (to rounding): "
                 "no relative error of the loss rows is defined"
             )
+        gauss_newton, hessian = dec.gauss_newton, dec.hessian
+        del dec  # no row reads the functional part
         decomposition_vs_fd = _fd_relative(fd_hessian(net, inputs, targets, loss), hessian)
 
         worst_h = worst_g = 0.0
@@ -401,8 +397,7 @@ def cmd_check(args: argparse.Namespace, cfg: dict, out_dir: Path, results: dict)
     if net.arch.activation != IDENTITY:
         raise ConfigError(
             f"{source}unsupported activation {net.arch.activation!r} (identity required): "
-            "the output Hessian-gradient case formula holds for linear networks only, "
-            "and the FD oracle's stencil can cross a relu kink"
+            "the FD oracle's stencil can cross a relu kink"
         )
     if net.param_index.n_params > 4000:
         raise ConfigError(f"{source}check requires a small architecture (P <= 4000)")

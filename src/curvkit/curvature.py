@@ -34,12 +34,15 @@ class HessianDecomposition:
 
     gauss_newton is the loss-curvature part (PSD up to round-off),
     functional is the slope-weighted output-Hessian part, and hessian is
-    their sum, exact by construction.
+    their sum, exact by construction.  term_norm_sum is the sum over the
+    samples of the Frobenius norms of the terms L'(y_s) H(x_s) that
+    functional averages: the scale of the rounding in their sum.
     """
 
     gauss_newton: np.ndarray
     functional: np.ndarray
     hessian: np.ndarray
+    term_norm_sum: float
 
 
 @dataclass
@@ -69,9 +72,9 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     per-sample output gradients g_s, and the functional part the mean of
     L'(y_s) times the closed-form output Hessian at x_s; for a relu network
     that is the Hessian of the linear piece each input lies in.  Each
-    sample's output Hessian is scaled in place before it is added, so the
-    peak is the three returned P x P matrices, or the two parts and one
-    output Hessian while they are summed.
+    sample's output Hessian is scaled in place, and its norm taken, before
+    it is added, so the peak is the three returned P x P matrices, or the
+    two parts and one output Hessian while they are summed.
     """
     x = _as_batch(inputs)
     t = _as_targets(targets, x.shape[0])
@@ -86,13 +89,15 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     gauss_newton = (grads * curv[:, None]).T @ grads / n
     slopes = loss.d1(outputs, t)
     functional = np.zeros_like(gauss_newton)
+    term_norm_sum = 0.0
     for s in range(n):
         term = output_hessian(net, x[s])
         term *= slopes[s]  # the product slopes[s] * term, in place
+        term_norm_sum += float(np.linalg.norm(term))
         functional += term
         del term  # before the next sample's is built
     functional /= n
-    return HessianDecomposition(gauss_newton, functional, gauss_newton + functional)
+    return HessianDecomposition(gauss_newton, functional, gauss_newton + functional, term_norm_sum)
 
 
 def curvature_projection(operator, g: np.ndarray) -> float:

@@ -20,10 +20,10 @@ theory runs it on stacks of networks too, and the probe runs it along a
 batch gradient through the gradient's layer factors, two (N, width) arrays
 per layer, which loss_and_gradient returns beside the gradient and
 gradient_curvatures builds without it.
-The dense output Hessian is a closed form for linear networks that shares
-no kernel with the R-op; it covers a relu network on the linear piece its
-input lies in.  Its case-formula product with the gradient is for linear
-networks only.
+The dense output Hessian and its case-formula product with the output
+gradient are closed forms that share no kernel with the R-op.  They read
+relu as the backward pass does, through the trace's masks, so for a relu
+network they are exact on the linear piece the input lies in.
 """
 from __future__ import annotations
 
@@ -31,16 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ActivationError,
-    CapacityError,
-    DimensionError,
-    DirectionError,
-)
+from .errors import CapacityError, DimensionError, DirectionError
 from .network import (
-    IDENTITY,
     RELU,
-    Architecture,
     BatchTrace,
     Network,
     batch_forward,
@@ -165,8 +158,8 @@ def _as_targets(targets, n: int) -> np.ndarray:
 
 
 def _sensitivity_chain(weights, seed: np.ndarray, masks=None):
-    """Yield (k, a_k) for k = L .. 1, a_k = d(output)/d(layer-k activations)
-    in row layout.
+    """Yield (k, a_k) for k = L .. 1, a_k = d(output)/d(layer-k
+    pre-activations) in row layout.
 
     The backward pass of every route: a_L = seed and a_k = a_{k+1} W_{k+1}^T,
     times the hidden layer's relu mask when masks are given.  seed is ones of
@@ -181,14 +174,6 @@ def _sensitivity_chain(weights, seed: np.ndarray, masks=None):
         if masks is not None:
             a = a * masks[k - 1]
         yield k, a
-
-
-def _output_sensitivities(weights, seed: np.ndarray, masks=None) -> list:
-    """The list a with a[k] = a_k of _sensitivity_chain; a[0] stays None."""
-    a = [None] * (len(weights) + 1)
-    for k, a_k in _sensitivity_chain(weights, seed, masks):
-        a[k] = a_k
-    return a
 
 
 def batch_loss(net: Network, inputs, targets, loss: LossFunction) -> float:
@@ -257,7 +242,7 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
     """(n_samples, P) matrix of per-sample output gradients."""
     x = _as_batch(inputs)
     trace = batch_forward(net, x)
-    a = _output_sensitivities(net.weights, np.ones_like(trace.activations[-1]), trace.masks)
+    a = dict(_sensitivity_chain(net.weights, np.ones_like(trace.activations[-1]), trace.masks))
     blocks = []
     for k in range(net.depth):
         outer = a[k + 1][:, :, None] * trace.activations[k][:, None, :]  # (N, n_k, n_{k-1})
@@ -270,18 +255,26 @@ def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _pre_activation_jacobian(net: Network, trace: BatchTrace, l: int, m: int) -> np.ndarray:
+    """d(activations of layer m) / d(pre-activations of hidden layer l) at a
+    single-input trace: J(l, m) of interlayer_jacobian with the rows of
+    layer l's inactive units zeroed, as the backward pass masks a_l."""
+    jac = interlayer_jacobian(net, trace, l, m)
+    return jac if trace.masks is None else jac * trace.masks[l - 1][:, None]
+
+
 def output_hessian(net: Network, x) -> np.ndarray:
     """Dense P x P Hessian of the scalar output w.r.t. all weights.
 
-    Assembled block by block from the closed form of a linear network for a
-    pair of layers (row layer k, column layer l): zero for l = k,
-    a_k (x) J(l, k-1) (x) y_{l-1} for l < k and its mirror image for l > k,
-    with J(m, m) = I.  At x, a relu network is the linear network with
-    masked weights W_k diag(m_k), m_k the hidden layers' relu masks and
-    m_L = 1.  The masking is linear in the weights, so the relu Hessian is
-    D H_lin D, where D holds for every weight the mask of the unit it
-    feeds: the Hessian of the linear piece x lies in.  D scales H_lin in
-    place, so either route holds one P x P matrix and a block of it.
+    Assembled block by block from the closed form for a pair of layers (row
+    layer k, column layer l): zero for l = k,
+    a_k (x) J(l, k-1) (x) y_{l-1} for l < k and its mirror image for l > k.
+    a_k is the output's sensitivity to layer k's pre-activations, from the
+    backward chain, and J(l, m) the sensitivity of layer m's activations to
+    layer l's pre-activations (_pre_activation_jacobian), J(m, m) = I for a
+    linear network.  Both carry the trace's relu masks, so for a relu
+    network this is the Hessian of the linear piece x lies in.  It holds the
+    one P x P result and a layer-pair block.
     """
     index = net.param_index
     if index.n_params > DENSE_CAP:
@@ -289,29 +282,21 @@ def output_hessian(net: Network, x) -> np.ndarray:
             f"P = {index.n_params} exceeds dense cap {DENSE_CAP}; use matrix-free products"
         )
     trace = forward(net, x)
-    if trace.masks is not None:
-        masks = [*trace.masks, np.ones(1)]
-        linear = Network(Architecture(net.arch.widths), [w * m for w, m in zip(net.weights, masks)])
-        d = index.flatten([np.broadcast_to(m, w.shape) for w, m in zip(net.weights, masks)])
-        hess = output_hessian(linear, x)
-        hess *= d[:, None]  # the products of d[:, None] * hess * d, in place
-        hess *= d
-        return hess
     y = trace.activations
     depth = net.depth
     P = index.n_params
     hess = np.zeros((P, P))
     if depth == 1:
         return hess  # output linear in the only weight layer
-    a = _output_sensitivities(net.weights, np.ones(1))
+    a = dict(_sensitivity_chain(net.weights, np.ones(1), trace.masks))
     widths = net.arch.widths
     for k in range(1, depth + 1):
         rows = index.layer_slice(k - 1)
         for l in range(1, depth + 1):
             if l < k:
-                block = np.einsum("i,uj,v->ijuv", a[k], interlayer_jacobian(net, trace, l, k - 1), y[l - 1])
+                block = np.einsum("i,uj,v->ijuv", a[k], _pre_activation_jacobian(net, trace, l, k - 1), y[l - 1])
             elif l > k:
-                block = np.einsum("u,iv,j->ijuv", a[l], interlayer_jacobian(net, trace, k, l - 1), y[k - 1])
+                block = np.einsum("u,iv,j->ijuv", a[l], _pre_activation_jacobian(net, trace, k, l - 1), y[k - 1])
             else:
                 continue  # a layer's own block is zero
             hess[rows, index.layer_slice(l - 1)] = block.reshape(widths[k] * widths[k - 1], -1)
@@ -322,36 +307,32 @@ def output_hessian_grad_product(net: Network, x) -> np.ndarray:
     """Product of the output Hessian with the output gradient, without the
     dense matrix.
 
-    Evaluated from the layered case formula of a linear network: the block
-    of the product at column layer l is y_{l-1} (x) above + below (x) a_l,
-    two sums over the row layers k, with J(m, m) = I:
+    Evaluated from the layered case formula: the block of the product at
+    column layer l is y_{l-1} (x) above + below (x) a_l, two sums over the
+    row layers k, with a_k and J as in output_hessian:
 
         above = sum_{k > l} ||a_k||^2 J(l, k-1) y_{k-1}
         below = sum_{k < l} ||y_{k-1}||^2 J(k, l-1)^T a_k
 
-    An empty sum (above at the last layer, below at the first) is zero.
+    An empty sum (above at the last layer, below at the first) is zero.  For
+    a relu network it is exact on the linear piece x lies in.
     """
-    if net.arch.activation != IDENTITY:
-        raise ActivationError(
-            "the output Hessian-gradient case formula is defined for identity-activation "
-            "(linear) networks only"
-        )
     index = net.param_index
     trace = forward(net, x)
     y = trace.activations
     depth = net.depth
     if depth == 1:
         return np.zeros(index.n_params)
-    a = _output_sensitivities(net.weights, np.ones(1))
+    a = dict(_sensitivity_chain(net.weights, np.ones(1), trace.masks))
     widths = net.arch.widths
     blocks = []
     for l in range(1, depth + 1):
         above = np.zeros(widths[l])
         for k in range(l + 1, depth + 1):
-            above += float(a[k] @ a[k]) * (interlayer_jacobian(net, trace, l, k - 1) @ y[k - 1])
+            above += float(a[k] @ a[k]) * (_pre_activation_jacobian(net, trace, l, k - 1) @ y[k - 1])
         below = np.zeros(widths[l - 1])
         for k in range(1, l):
-            below += float(y[k - 1] @ y[k - 1]) * (interlayer_jacobian(net, trace, k, l - 1).T @ a[k])
+            below += float(y[k - 1] @ y[k - 1]) * (_pre_activation_jacobian(net, trace, k, l - 1).T @ a[k])
         delta = np.outer(y[l - 1], above) + np.outer(below, a[l])
         blocks.append(delta.ravel(order="F"))
     return np.concatenate(blocks)

@@ -21,7 +21,7 @@ cross-sample) share one trial-batched engine: each trial's network is drawn
 once, with one generator call into the block's weight stacks (the same bits
 init_network draws for that trial), and the kernels that
 also serve batches and training probes (network._forward, which carries the
-Taylor coefficients along the gradient, and diff._output_sensitivities) run
+Taylor coefficients along the gradient, and diff._sensitivity_chain) run
 on the stack and yield every per-trial column.  The public samplers select
 columns of that table.  The gradient-norm, quadform and positivity ensembles share their seed, hence
 their networks, so they read one table, kept for the most recent McConfig:
@@ -35,7 +35,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .diff import _output_sensitivities, squared_error
+from .diff import _sensitivity_chain, squared_error
 from .errors import DimensionError, DirectionError
 from .network import IDENTITY, Architecture, _forward
 from .parallel import map_trial_ranges, open_trial_lane
@@ -136,7 +136,7 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     and H (the output Hessian) are taken at x = v, or at u when v is None.
 
     The passes are the package's own: a plain network._forward for the
-    activations y^u at u, diff._output_sensitivities for the input-free
+    activations y^u at u, diff._sensitivity_chain for the input-free
     sensitivities a_k, and a network._forward at x along g, whose second
     Taylor coefficient is g^T H g.  What is particular to the engine is
     g's rank-one layer blocks y^u_{k-1} (x) a_k: they give
@@ -144,7 +144,7 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     along(k, p) = (p . y^u_k) a_{k+1}.
     """
     acts_u = _forward(ws, u, relu=False).activations
-    a = _output_sensitivities(ws, np.ones((u.shape[0], 1, 1)))
+    a = dict(_sensitivity_chain(ws, np.ones((u.shape[0], 1, 1))))
     g_sq = sum(_dot(acts_u[k - 1], acts_u[k - 1]) * _dot(a[k], a[k]) for k in range(1, len(ws) + 1))
 
     def along(k, p):

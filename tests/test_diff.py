@@ -5,7 +5,6 @@ import pytest
 
 from curvkit import (
     DENSE_CAP,
-    ActivationError,
     Architecture,
     CapacityError,
     DimensionError,
@@ -227,8 +226,8 @@ class TestOutputHessianDense:
 
     @pytest.mark.parametrize("widths", [(3, 4, 5, 1), (4, 5, 6, 3, 1), (2, 3, 3, 3, 3, 1)])
     def test_relu_matches_rop_columns_and_fd_oracle(self, widths):
-        # The relu Hessian is the masked linear net's, scaled by the masks on
-        # both sides; the R-op and the FD oracle share no code with it.
+        # The closed form reads the relu masks through the masked backward
+        # chain and Jacobians; the R-op and the FD oracle share no code with it.
         gen = RngStream(42, 1).generator()
         x = gen.standard_normal(widths[0])
         net = relu_net_off_kinks(widths, 42, x)
@@ -239,17 +238,20 @@ class TestOutputHessianDense:
         ref = fd_hessian(net, x, 0.0, raw_output())
         assert np.linalg.norm(dense - ref) <= 1e-5 * np.linalg.norm(ref)
 
-    def test_relu_masks_scale_in_place_to_the_bit(self):
-        # Scaling H_lin by the masks in place performs the products of
-        # d[:, None] * H_lin * d, so the result keeps their bits.
+    def test_relu_is_the_linear_pieces_hessian_exactly(self):
+        # At x the relu net is the linear net with weights W_k diag(m_k), and
+        # its Hessian is D H_lin D, D the mask of the unit each weight feeds.
+        # The values are exact; only the sign of a zero may differ.
         net = random_net((4, 6, 5, 3, 1), 46, "relu")
         x = RngStream(47, 0).generator().standard_normal(4)
         masks = [*curvkit.network.forward(net, x).masks, np.ones(1)]
         linear = Network(Architecture(net.arch.widths), [w * m for w, m in zip(net.weights, masks)])
         d = net.param_index.flatten([np.broadcast_to(m, w.shape) for w, m in zip(net.weights, masks)])
         assert 0.0 < d.sum() < d.size  # some units are dead, some alive
-        want = d[:, None] * output_hessian(linear, x) * d
-        assert output_hessian(net, x).tobytes() == want.tobytes()
+        got = output_hessian(net, x)
+        assert np.array_equal(got, d[:, None] * output_hessian(linear, x) * d)
+        dead = d == 0.0
+        assert not got[dead].any() and not got[:, dead].any()
 
     def test_capacity_cap(self):
         net = random_net((150, 140, 1), 43)
@@ -287,10 +289,27 @@ class TestOutputHessianGradProduct:
             scale = max(np.linalg.norm(ref), 1e-300)
             assert np.linalg.norm(cases - ref) <= 1e-10 * scale
 
-    def test_relu_unsupported(self):
-        net = random_net((3, 3, 1), 45, "relu")
-        with pytest.raises(ActivationError):
-            output_hessian_grad_product(net, [1.0, 0.0, 0.0])
+    @pytest.mark.parametrize(
+        "widths, seeds",
+        [
+            ((4, 5, 6, 3, 1), (0, 1, 2, 3)),
+            ((3, 1), (0, 1, 2, 3)),
+            ((2, 3, 1), (0, 1, 2, 3)),
+            ((3, 4, 2, 1), (0, 1, 2, 3)),
+            ((5, 4, 3, 2, 6, 1), (0, 2, 4, 5)),  # 1 and 3 put a unit on a kink
+            ((2, 2, 2, 2, 2, 2, 1), (6, 8, 12, 13)),  # the first four off kinks
+        ],
+    )
+    def test_relu_matches_dense_route_and_rop(self, widths, seeds):
+        # Exact on the linear piece x lies in: against the closed-form dense
+        # product and against the R-op, which shares no code with either.
+        for seed in seeds:
+            x = RngStream(1000 + seed, 0).generator().standard_normal(widths[0])
+            net = relu_net_off_kinks(widths, 900 + seed, x)
+            g = output_gradient(net, x)
+            cases = output_hessian_grad_product(net, x)
+            for ref in (output_hessian(net, x) @ g, output_hessian_vp(net, x, g)):
+                assert np.linalg.norm(cases - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
 
 
 def relu_net_off_kinks(widths, seed, x):
@@ -499,7 +518,7 @@ class TestFdHessianStencil:
             (curvkit.network, "interlayer_jacobian"),
             (curvkit.diff, "interlayer_jacobian"),
             (curvkit.diff, "batch_forward"),
-            (curvkit.diff, "_output_sensitivities"),
+            (curvkit.diff, "_sensitivity_chain"),
             (curvkit.diff, "_hessian_vp"),
         ]:
             monkeypatch.setattr(module, name, refuse)
@@ -807,8 +826,8 @@ class TestPeakMemory:
         assert record.grad_norm_sq > 0.0
 
     def test_relu_output_hessian_holds_one_matrix(self):
-        # The masks scale the linear piece's Hessian in place: one P x P
-        # matrix and a layer-pair block, P = 990.
+        # One P x P matrix and a layer-pair block, P = 990: no masked copy
+        # of the net and no second matrix.
         net = random_net((18, 18, 18, 18, 1), 138, "relu")
         x = RngStream(139, 0).generator().standard_normal(18)
         P = net.param_index.n_params
@@ -840,10 +859,10 @@ class TestBoolMasks:
         trace = curvkit.network.batch_forward(net, xs)
         assert trace.masks[0].dtype == np.bool_
         seed = np.ones((xs.shape[0], 1))
-        got = curvkit.diff._output_sensitivities(net.weights, seed, trace.masks)
-        want = curvkit.diff._output_sensitivities(
+        got = curvkit.diff._sensitivity_chain(net.weights, seed, trace.masks)
+        want = curvkit.diff._sensitivity_chain(
             net.weights, seed, [m.astype(np.float64) for m in trace.masks])
-        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]
+        assert [(k, a.tobytes()) for k, a in got] == [(k, a.tobytes()) for k, a in want]
 
     def test_hvp_matches_float64_masks(self, monkeypatch):
         net, xs, ts = self.relu_batch()
