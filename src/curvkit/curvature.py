@@ -17,9 +17,9 @@ from .diff import (
     LossFunction,
     _as_batch,
     _as_targets,
+    _per_sample_gradients,
     batch_forward,
     output_hessian,
-    per_sample_output_gradients,
 )
 from .errors import CapacityError, DimensionError, DirectionError, SymmetryError
 from .network import Network
@@ -84,7 +84,7 @@ def decompose(net: Network, inputs, targets, loss: LossFunction) -> HessianDecom
     n = x.shape[0]
     trace = batch_forward(net, x)
     outputs = trace.outputs
-    grads = per_sample_output_gradients(net, x)
+    grads = _per_sample_gradients(net, trace)
     curv = loss.d2(outputs, t)
     gauss_newton = (grads * curv[:, None]).T @ grads / n
     slopes = loss.d1(outputs, t)

@@ -15,11 +15,13 @@ coefficients of every layer along it.  The R-op and the Gauss-Newton
 product ggn_vp read the Jacobian-vector products off that pass, and the
 curvature probe reads both parts of the curvature along the loss gradient
 off the output's two coefficients.  The forward pass takes the direction
-as its action v -> v D_l on each layer, so the Monte Carlo engine in
-theory runs it on stacks of networks too, and the probe runs it along a
+as its action v -> v D_l on each layer, so the probe runs it along a
 batch gradient through the gradient's layer factors, two (N, width) arrays
 per layer, which loss_and_gradient returns beside the gradient and
-gradient_curvatures builds without it.
+gradient_curvatures builds without it.  The factor helpers that give
+||g||^2 and that action read stacked (T, 1, width) factors too, so one
+kernel serves the training probe, the sweep probe and the four Monte Carlo
+ensembles of theory, which run it on stacks of T networks.
 The dense output Hessian and its case-formula product with the output
 gradient are closed forms that share no kernel with the R-op.  They read
 relu as the backward pass does, through the trace's masks, so for a relu
@@ -240,13 +242,16 @@ def loss_and_gradient(net: Network, inputs, targets, loss: LossFunction,
 
 def per_sample_output_gradients(net: Network, inputs) -> np.ndarray:
     """(n_samples, P) matrix of per-sample output gradients."""
-    x = _as_batch(inputs)
-    trace = batch_forward(net, x)
+    return _per_sample_gradients(net, batch_forward(net, _as_batch(inputs)))
+
+
+def _per_sample_gradients(net: Network, trace: BatchTrace) -> np.ndarray:
+    """per_sample_output_gradients at the inputs of an existing trace."""
     a = dict(_sensitivity_chain(net.weights, np.ones_like(trace.activations[-1]), trace.masks))
     blocks = []
     for k in range(net.depth):
         outer = a[k + 1][:, :, None] * trace.activations[k][:, None, :]  # (N, n_k, n_{k-1})
-        blocks.append(outer.reshape(x.shape[0], -1))
+        blocks.append(outer.reshape(outer.shape[0], -1))
     return np.concatenate(blocks, axis=1)
 
 
@@ -633,22 +638,18 @@ def _gradient_probe(net: Network, x: np.ndarray, t: np.ndarray, loss: LossFuncti
     when ||g||^2 is exactly 0.  Scales every A_k by 1 / ||g|| in place.
 
     A block's rank is at most N (Goodfellow, "Efficient per-example gradient
-    computations", 2015), so ||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o
-    (A_k A_k^T)), and after the scaling u acts on a layer through its
-    factors (see _factored_along): no P-sized array, and no layer block
-    larger than its factors.  One forward pass, which holds only the layer it
-    computes, carries (z, z', z'') along u (univariate Taylor mode;
-    Griewank & Walther, Evaluating Derivatives, ch. 13) and gives the
-    output's first and second directional derivatives y' and y'' for every
-    sample: the Gauss-Newton part u.G u = mean L''(y) y'^2, the functional
-    part u.H u = mean L'(y) y'', and hess_proj is their sum, so the split
-    holds exactly.  For relu networks it is the curvature of the smooth
-    piece the batch lies in, as for hvp.
+    computations", 2015), so ||g||^2 (_factored_norm_sq) and, after the
+    scaling, u's action on a layer (_factored_along) read the factors: no
+    P-sized array, and no layer block larger than its factors.  One forward
+    pass, which holds only the layer it computes, carries (z, z', z'') along
+    u (univariate Taylor mode; Griewank & Walther, Evaluating Derivatives,
+    ch. 13) and gives the output's first and second directional derivatives
+    y' and y'' for every sample: the Gauss-Newton part u.G u = mean L''(y)
+    y'^2, the functional part u.H u = mean L'(y) y'', and hess_proj is their
+    sum, so the split holds exactly.  For relu networks it is the curvature
+    of the smooth piece the batch lies in, as for hvp.
     """
-    # The Hadamard products are rounded before they are summed (no fused
-    # multiply-add), so blocks that cancel exactly, as those of the samples
-    # +x and -x do under raw_output, give exactly 0.
-    g_sq = sum(float(np.sum((y @ y.T) * (a @ a.T))) for y, a in factors)
+    g_sq = float(_factored_norm_sq(factors))
     if g_sq == 0.0:
         return None
     norm = np.sqrt(g_sq)
@@ -661,6 +662,16 @@ def _gradient_probe(net: Network, x: np.ndarray, t: np.ndarray, loss: LossFuncti
     return g_sq, gn_proj + fun_proj, gn_proj, fun_proj
 
 
+def _factored_norm_sq(factors: list):
+    """||g||^2 = sum_k sum((Y_{k-1} Y_{k-1}^T) o (A_k A_k^T)) of a direction
+    held as its layer factors: a scalar for (N, width) factors, a (T,) array
+    for (T, 1, width) stacks.  The Hadamard products are rounded before they
+    are summed (no fused multiply-add), so blocks that cancel exactly, as
+    those of the samples +x and -x do under raw_output, give exactly 0."""
+    return sum(np.sum((y @ np.swapaxes(y, -1, -2)) * (a @ np.swapaxes(a, -1, -2)), axis=(-2, -1))
+               for y, a in factors)
+
+
 def _factored_along(factors: list):
     """The action along(k, v) = v G_{k+1} of a direction held as its layer
     factors G_{k+1} = Y_k^T A_{k+1}, each (N, width).
@@ -670,11 +681,13 @@ def _factored_along(factors: list):
     once and applied twice, costs 3 N n_k n_{k+1}.  Each layer takes the
     cheaper order, which depends on shapes only, so a block is formed only
     where it is smaller than its factors: always on the output layer, and on
-    hidden layers narrower than about 4/3 N.
+    hidden layers narrower than about 4/3 N.  Stacked (T, N, width) factors
+    of T networks give the T actions at once.
     """
-    n = factors[0][0].shape[0]
+    n = factors[0][0].shape[-2]
     blocks = [
-        y.T @ a if 3 * y.shape[1] * a.shape[1] < 2 * n * (y.shape[1] + a.shape[1]) else None
+        np.swapaxes(y, -1, -2) @ a
+        if 3 * y.shape[-1] * a.shape[-1] < 2 * n * (y.shape[-1] + a.shape[-1]) else None
         for y, a in factors
     ]
 
@@ -682,7 +695,7 @@ def _factored_along(factors: list):
         if blocks[k] is not None:
             return v @ blocks[k]
         y, a = factors[k]
-        return (v @ y.T) @ a
+        return (v @ np.swapaxes(y, -1, -2)) @ a
 
     return along
 

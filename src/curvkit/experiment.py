@@ -200,7 +200,9 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
     expansion describes.  At probe steps the exact projections are measured
     at the pre-step weights from the factors of the step's own gradient, by
     initial_probe's kernel; a zero factored ||g||^2 leaves a step unprobed.
-    Raises DivergenceError if the loss exceeds
+    grad_norm_sq and the estimator take the dense g.g; exact_half_quadform
+    takes the probe's factored ||g||^2, which its hessian_proj is normalized
+    by.  Raises DivergenceError if the loss exceeds
     divergence_ratio times its initial value or is not finite.  Appends each
     record and finished epoch's mean loss to log (new if None) and returns
     it, so a log the caller passes keeps what was recorded before any raise.
@@ -274,8 +276,8 @@ def sgd_train(net: Network, dataset: Dataset, cfg: TrainConfig, lane: Lane = INL
             if probe is None:  # unprobed, or a zero gradient
                 curvatures = (None,) * 4
             else:
-                hess, gn, fun = probe[1:]
-                curvatures = (hess, gn, fun, 0.5 * hess * g_sq)
+                probe_g_sq, hess, gn, fun = probe
+                curvatures = (hess, gn, fun, 0.5 * hess * probe_g_sq)
             _descend(list(zip(net.weights, index.unflatten(g))), lr, lane)
             del g  # not alive while the next step's gradient is built
             post_step = lane.submit(batch_loss, net, x, t, cfg.loss)

@@ -19,14 +19,14 @@ results are independent of scheduling and worker count.
 The four curvature ensembles (gradient norm, quadratic form, positivity,
 cross-sample) share one trial-batched engine: each trial's network is drawn
 once, with one generator call into the block's weight stacks (the same bits
-init_network draws for that trial), and the kernels that
-also serve batches and training probes (network._forward, which carries the
-Taylor coefficients along the gradient, and diff._sensitivity_chain) run
-on the stack and yield every per-trial column.  The public samplers select
-columns of that table.  The gradient-norm, quadform and positivity ensembles share their seed, hence
-their networks, so they read one table, kept for the most recent McConfig:
-calling the three samplers in turn (as ``theory thm2`` does) draws each
-network once.
+init_network draws for that trial), and the training probe's kernel
+(network._forward along the gradient, diff._sensitivity_chain and the
+factor helpers diff._factored_norm_sq and diff._factored_along) runs on the
+stack and yields every per-trial column.  The public samplers select
+columns of that table.  The gradient-norm, quadform and positivity
+ensembles share their seed, hence their networks, so they read one table,
+kept for the most recent McConfig: calling the three samplers in turn (as
+``theory thm2`` does) draws each network once.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .diff import _sensitivity_chain, squared_error
+from .diff import _factored_along, _factored_norm_sq, _sensitivity_chain, squared_error
 from .errors import DimensionError, DirectionError
 from .network import IDENTITY, Architecture, _forward
 from .parallel import map_trial_ranges, open_trial_lane
@@ -77,8 +77,6 @@ class McSummary:
     mean: float
     variance: float  # unbiased
     stderr: float
-    minimum: float
-    maximum: float
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McSummary":
@@ -91,8 +89,6 @@ class McSummary:
             mean=float(np.mean(s)),
             variance=var,
             stderr=float(np.sqrt(var / s.size)),
-            minimum=float(np.min(s)),
-            maximum=float(np.max(s)),
         )
 
 
@@ -123,11 +119,6 @@ def _trials_per_block(arch: Architecture) -> int:
     return max(1, _BLOCK_BYTES // (8 * arch.n_params))
 
 
-def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-trial dot products of (T, 1, n) row stacks, shaped (T, 1, 1)."""
-    return np.sum(p * q, axis=-1, keepdims=True)
-
-
 def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     """Output, ||g||^2 and g^T H g for a block of T identity networks.
 
@@ -135,23 +126,18 @@ def _taylor_columns(ws, u: np.ndarray, v: np.ndarray | None = None):
     (T, 1, n_0) input stacks.  g is the output gradient at u, and the output
     and H (the output Hessian) are taken at x = v, or at u when v is None.
 
-    The passes are the package's own: a plain network._forward for the
-    activations y^u at u, diff._sensitivity_chain for the input-free
-    sensitivities a_k, and a network._forward at x along g, whose second
-    Taylor coefficient is g^T H g.  What is particular to the engine is
-    g's rank-one layer blocks y^u_{k-1} (x) a_k: they give
-    ||g||^2 = sum_k ||y^u_{k-1}||^2 ||a_k||^2 and the direction's action
-    along(k, p) = (p . y^u_k) a_{k+1}.
+    Every step is the training probe's, run on the stack: a plain
+    network._forward for the activations y^u at u, diff._sensitivity_chain
+    for the sensitivities a_k, which give g's layer factors (y^u_{k-1}, a_k)
+    as gradient_curvatures builds them, diff._factored_norm_sq for ||g||^2,
+    and a network._forward at x along diff._factored_along(factors), whose
+    second Taylor coefficient is g^T H g.
     """
     acts_u = _forward(ws, u, relu=False).activations
-    a = dict(_sensitivity_chain(ws, np.ones((u.shape[0], 1, 1))))
-    g_sq = sum(_dot(acts_u[k - 1], acts_u[k - 1]) * _dot(a[k], a[k]) for k in range(1, len(ws) + 1))
-
-    def along(k, p):
-        return _dot(p, acts_u[k]) * a[k + 1]
-
-    trace = _forward(ws, u if v is None else v, relu=False, along=along)
-    return trace.outputs[:, 0], g_sq[:, 0, 0], trace.output_ddot[:, 0]
+    chain = _sensitivity_chain(ws, np.ones((u.shape[0], 1, 1)))
+    factors = [(acts_u[k - 1], a_k) for k, a_k in chain][::-1]
+    trace = _forward(ws, u if v is None else v, relu=False, along=_factored_along(factors))
+    return trace.outputs[:, 0], _factored_norm_sq(factors), trace.output_ddot[:, 0]
 
 
 def _mc_chunk(cfg: McConfig, fixed, cross: bool, start: int, stop: int) -> np.ndarray:
@@ -413,7 +399,6 @@ def _positivity(table: np.ndarray, target_magnitude: float) -> np.ndarray:
 class PositivityResult:
     epsilon: float
     probability: float
-    summary: McSummary
 
 
 def positivity_samples(cfg: McConfig, target_magnitude: float = 1.0, n_workers: int = 1) -> np.ndarray:
@@ -428,8 +413,7 @@ def mc_curvature_positivity(
     cfg: McConfig, epsilon: float, target_magnitude: float = 1.0, n_workers: int = 1
 ) -> PositivityResult:
     samples = positivity_samples(cfg, target_magnitude, n_workers)
-    prob = float(np.mean(samples > epsilon))
-    return PositivityResult(float(epsilon), prob, McSummary.from_samples(samples))
+    return PositivityResult(float(epsilon), float(np.mean(samples > epsilon)))
 
 
 # ---------------------------------------------------------------------------

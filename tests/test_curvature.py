@@ -20,6 +20,8 @@ from curvkit import (
     psd_check,
     squared_error,
 )
+import curvkit.curvature
+import curvkit.diff
 from test_diff import moved, relu_net_off_kinks, traced_peak
 
 
@@ -76,6 +78,25 @@ class TestDecompose:
         assert asym <= 1e-12 * np.linalg.norm(dec.hessian)
         report = psd_check(dec.gauss_newton)
         assert report.passed
+
+    def test_one_batch_forward_pass(self, monkeypatch):
+        # The per-sample gradients read the trace decompose already made.
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (curvkit.curvature, curvkit.diff):
+            monkeypatch.setattr(module, "batch_forward", counted(module.batch_forward))
+        net = random_net((12, 12, 12, 12, 1), 82, "relu")
+        gen = RngStream(83, 0).generator()
+        xs = gen.standard_normal((4, 12))
+        dec = decompose(net, xs, [1.0, -1.0, 1.0, -1.0], squared_error())
+        assert len(calls) == 1
+        assert np.array_equal(dec.gauss_newton + dec.functional, dec.hessian)
 
     def test_relu_route_matches_hvp_columns(self):
         # decompose's closed form and the R-op share no code.

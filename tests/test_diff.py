@@ -32,7 +32,7 @@ from curvkit.curvature import curvature_projection
 from curvkit.experiment import TrainConfig, generate_dataset, initial_probe
 import curvkit.diff
 import curvkit.network
-from curvkit.diff import _QUART_EPS, _FdStencil
+from curvkit.diff import _QUART_EPS, _FdStencil, _factored_along, _factored_norm_sq
 from curvkit.network import batch_forward
 
 
@@ -729,6 +729,31 @@ class TestGradientCurvatures:
         xs = np.array([[1.0], [-1.0]])
         with pytest.raises(DirectionError, match="cannot project along a zero gradient"):
             gradient_curvatures(net, xs, 0.0, raw_output())
+
+
+class TestFactoredHelpersOnStacks:
+    """The probe's factor helpers on (T, 1, width) stacks, as the Monte Carlo
+    engine runs them, against T separate calls on (1, width) factors."""
+
+    @pytest.mark.parametrize("widths", [(5, 1), (4, 1, 1), (6, 6, 1), (8, 3, 12, 5, 1)])
+    def test_stack_matches_separate_calls(self, widths):
+        gen = RngStream(103, 0).generator()
+        T = 7
+        pairs = list(zip(widths[:-1], widths[1:]))
+        factors = [(gen.standard_normal((T, 1, m)), gen.standard_normal((T, 1, n))) for m, n in pairs]
+        vs = [gen.standard_normal((T, 1, m)) for m, _ in pairs]
+        g_sq = _factored_norm_sq(factors)
+        along = _factored_along(factors)
+        assert g_sq.shape == (T,)
+        for i in range(T):
+            single = [(y[i], a[i]) for y, a in factors]
+            ref = _factored_norm_sq(single)
+            assert abs(g_sq[i] - ref) <= 1e-14 * ref
+            along_single = _factored_along(single)
+            for k, v in enumerate(vs):
+                expected = along_single(k, v[i])
+                assert expected.shape == (1, widths[k + 1])
+                assert np.max(np.abs(along(k, v)[i] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestDirectionalCurvature:

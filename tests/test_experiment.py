@@ -155,6 +155,25 @@ class TestSgdTrain:
                 0.5 * r.hessian_proj * r.grad_norm_sq, rel=1e-12
             )
 
+    def test_exact_half_takes_the_probes_own_norm(self, monkeypatch):
+        # On this net the dense g @ g and the probe's factored ||g||^2
+        # differ in their last bits; curv_exact_half is the probe's own
+        # 0.5 g^T (Hessian) g, so it takes the factored one.
+        norms = []
+        real_probe = curvkit.experiment._gradient_probe
+
+        def recorded(*args):
+            probe = real_probe(*args)
+            norms.append(probe[0])
+            return probe
+
+        monkeypatch.setattr(curvkit.experiment, "_gradient_probe", recorded)
+        _, _, log = fresh_run(small_config(probe_every=1))
+        assert len(log.probed()) == len(norms) == len(log.records) == 9
+        assert any(r.grad_norm_sq != g_sq for r, g_sq in zip(log.records, norms))
+        for r, g_sq in zip(log.records, norms):
+            assert r.exact_half_quadform == 0.5 * r.hessian_proj * g_sq
+
     def test_zero_gradient_step_is_recorded_unprobed(self):
         # Width-1 inputs +1 and -1 under raw_output: the factored ||g||^2 is
         # exactly 0, while the dense g @ g is a rounding residue above 0.
